@@ -30,8 +30,7 @@ def run_scene(azimuth, speech, cfg, geometry, selector):
     rows["mwf"] = (0.0, None, metrics.evaluate_filters(mwf.filters, sc, selector))
     for variant in ("mwf-itd", "mwf-ic"):
         cal = solver.calibrate_alpha(costs.CostSpec(variant), phi, selector, sc)
-        solved = solver.solve_all_bins(costs.CostSpec(variant, cal.alpha), phi, selector)
-        rows[variant] = (cal.alpha, cal, metrics.evaluate_filters(solved.filters, sc, selector))
+        rows[variant] = (cal.alpha, cal, cal.report)
     return sc, rows
 
 

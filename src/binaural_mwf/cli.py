@@ -253,11 +253,14 @@ def cmd_process(cfg: RunConfig):
     nonconv_fractions = []
     for variant in cfg.variants:
         alpha, cal = _variant_alpha(cfg, variant, phi, selector, scene)
-        spec = CostSpec(variant, alpha, cue_cutoff=cfg.cue_cutoff)
-        solved = solver.solve_all_bins(spec, phi, selector, cfg.solver)
+        if cal is not None:  # calibration already solved at the chosen alpha
+            solved, report = cal.solve, cal.report
+        else:
+            spec = CostSpec(variant, alpha, cue_cutoff=cfg.cue_cutoff)
+            solved = solver.solve_all_bins(spec, phi, selector, cfg.solver)
+            report = metrics.evaluate_filters(solved.filters, scene, selector,
+                                              cue_cutoff=cfg.cue_cutoff)
         nonconv_fractions.append(solved.nonconverged_fraction)
-        report = metrics.evaluate_filters(solved.filters, scene, selector,
-                                          cue_cutoff=cfg.cue_cutoff)
         results[variant] = (alpha, cal, solved, report)
 
     snr_in = metrics.input_snr_db(scene, selector)

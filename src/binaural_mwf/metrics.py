@@ -139,8 +139,12 @@ def delta_isnr(z_x_out, z_v_out, z_x_in, z_v_in, active, freqs):
     Bands silent in either condition are excluded and the importance
     weights renormalized over the remaining bands.
     """
-    snr_out = band_snrs_db(z_x_out, z_v_out, active, freqs)
-    snr_in = band_snrs_db(z_x_in, z_v_in, active, freqs)
+    return _isnr_gain(band_snrs_db(z_x_out, z_v_out, active, freqs),
+                      band_snrs_db(z_x_in, z_v_in, active, freqs))
+
+
+def _isnr_gain(snr_out, snr_in):
+    """Per-ear weighted gain between two ``band_snrs_db`` tables."""
     gains = []
     for ear in range(2):
         usable = np.isfinite(snr_out[:, ear]) & np.isfinite(snr_in[:, ear])
@@ -215,35 +219,73 @@ def _direct_covariance(tensor: SpectralTensor, frame_mask=None):
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 
+def _scene_term(scene, key, compute):
+    """``compute()`` once per scene and ``key``, then reused.
+
+    Holds the metric terms that no filter set changes: direct covariances,
+    input cues and the identity-filter reductions.  Only reductions are
+    kept, never a (channel, frame, bin) tensor.  A scene's tensors are not
+    modified after synthesis, so the terms stay valid; callers share the
+    returned objects and must not modify them.
+    """
+    terms = scene.metric_terms
+    if key not in terms:
+        terms[key] = compute()
+    return terms[key]
+
+
+def _reference_key(selector: Selector):
+    return (selector.q_l.size, selector.index_left, selector.index_right)
+
+
+def _identity_terms(scene, selector: Selector):
+    """(per-ear SNR, band SNR table) of the unprocessed reference mics."""
+
+    def compute():
+        identity = FilterPair.identity(selector, scene.x.bin_count)
+        zx, zv = shadow_filter(identity, scene.x, scene.v)
+        active = scene.vad.active
+        return (snr_db(zx, zv, active),
+                band_snrs_db(zx, zv, active, scene.x.config.freqs))
+
+    return _scene_term(scene, ("identity",) + _reference_key(selector), compute)
+
+
 def noise_cue_pair(filters: FilterPair, scene, selector: Selector,
                    cue_cutoff=CUE_CUTOFF_HZ):
     """(input, output) noise cues on the directly estimated noise coherence."""
-    phi_vv = _direct_covariance(scene.v)
+    phi_vv = _scene_term(scene, "phi_vv", lambda: _direct_covariance(scene.v))
     cfg = scene.v.config
-    return (input_cues(phi_vv, selector, cfg, cue_cutoff),
-            output_cues(phi_vv, filters, cfg, cue_cutoff))
+    cues_in = _scene_term(
+        scene, ("noise cues", cue_cutoff) + _reference_key(selector),
+        lambda: input_cues(phi_vv, selector, cfg, cue_cutoff))
+    return cues_in, output_cues(phi_vv, filters, cfg, cue_cutoff)
 
 
 def speech_cue_pair(filters: FilterPair, scene, selector: Selector,
                     cue_cutoff=CUE_CUTOFF_HZ):
     """(input, output) speech cues over speech-active frames."""
-    phi_xx = _direct_covariance(scene.x, scene.vad.active)
+    phi_xx = _scene_term(scene, "phi_xx",
+                         lambda: _direct_covariance(scene.x, scene.vad.active))
     cfg = scene.x.config
-    return (input_cues(phi_xx, selector, cfg, cue_cutoff),
-            output_cues(phi_xx, filters, cfg, cue_cutoff))
+    cues_in = _scene_term(
+        scene, ("speech cues", cue_cutoff) + _reference_key(selector),
+        lambda: input_cues(phi_xx, selector, cfg, cue_cutoff))
+    return cues_in, output_cues(phi_xx, filters, cfg, cue_cutoff)
 
 
 def evaluate_filters(filters: FilterPair, scene, selector: Selector,
                      cue_cutoff=CUE_CUTOFF_HZ) -> MetricsReport:
     """Full objective report for one filter set on one scene."""
+    # the scene's own terms first, so their temporaries are gone before the
+    # filtered outputs exist
+    _, bands_in = _identity_terms(scene, selector)
     z_x, z_v = shadow_filter(filters, scene.x, scene.v)
-    identity = FilterPair.identity(selector, filters.bin_count)
-    zx_in, zv_in = shadow_filter(identity, scene.x, scene.v)
     active = scene.vad.active
     freqs = scene.x.config.freqs
 
     snr_l, snr_r = snr_db(z_x, z_v, active)
-    disnr_l, disnr_r = delta_isnr(z_x, z_v, zx_in, zv_in, active, freqs)
+    disnr_l, disnr_r = _isnr_gain(band_snrs_db(z_x, z_v, active, freqs), bands_in)
     cues_n_in, cues_n_out = noise_cue_pair(filters, scene, selector, cue_cutoff)
     cues_s_in, cues_s_out = speech_cue_pair(filters, scene, selector, cue_cutoff)
     ic_mag = np.where(cues_n_out.valid, np.abs(cues_n_out.ic), np.nan)
@@ -262,9 +304,7 @@ def evaluate_filters(filters: FilterPair, scene, selector: Selector,
 
 def input_snr_db(scene, selector: Selector):
     """Unprocessed per-ear SNR of the scene (identity filtering)."""
-    identity = FilterPair.identity(selector, scene.x.bin_count)
-    zx, zv = shadow_filter(identity, scene.x, scene.v)
-    return snr_db(zx, zv, scene.vad.active)
+    return _identity_terms(scene, selector)[0]
 
 
 def report_to_json(path, reports, extra=None):

@@ -20,7 +20,7 @@ measured array exhibits.  For exact rank-one constructions use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,6 +156,9 @@ class SceneData:
     noise_steering: SteeringVectorSet
     spec: SceneSpec
     geometry: ArrayGeometry
+    # filter-independent metric terms, filled on first use by ``metrics``
+    metric_terms: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
 
 def woodworth_itd(geometry: ArrayGeometry, azimuth_deg):

@@ -4,11 +4,13 @@ The Wiener objective has the closed-form minimizer w_e = Pyy^-1 Pxx q_e per
 bin.  Penalized variants are minimized with BFGS over the 4M real
 parameters, started from the closed form (the alpha -> 0 optimum), using a
 strong-Wolfe line search so every accepted step decreases the cost and
-keeps the inverse-Hessian update well defined.
+keeps the inverse-Hessian update well defined.  Each penalized bin's
+objective (``costs.BinObjective``) is built once per solve.
 
 Also provides the weighting-factor machinery: log-grid calibration of alpha
-for a bounded worst-ear SNR loss, and alpha sweeps feeding the objective
-metric table.
+for a bounded worst-ear SNR loss, which returns the solve and metrics made
+at the chosen alpha so callers need not solve again, and alpha sweeps
+feeding the objective metric table.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .costs import (
+# combined_hessian is unused here but stays bound in this module, next to
+# combined: perfbench/tracing.py wraps both where the solver binds them.
+from .costs import (  # noqa: F401
+    BinObjective,
     CostSpec,
     FilterPair,
     combined,
     combined_hessian,
-    input_ic,
-    input_ipd,
     pack_filters,
+    penalty_cue,
     unpack_filters,
 )
 from .errors import InvalidInputError
@@ -212,9 +216,11 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
             rho = 1.0 / sy
             hy = h @ y
             # H <- (I - rho s y') H (I - rho y s') + rho s s'
-            h -= rho * (np.outer(s, hy) + np.outer(hy, s))
-            h += rho * rho * float(y @ hy) * np.outer(s, s)
-            h += rho * np.outer(s, s)
+            s_hy = np.outer(s, hy)
+            h -= rho * (s_hy + s_hy.T)
+            ss = np.outer(s, s)
+            h += rho * rho * float(y @ hy) * ss
+            h += rho * ss
         x = x + s
         f, g = f_new, g_new
         iterations += 1
@@ -347,28 +353,15 @@ def solve_bin(spec: CostSpec, phi: CoherenceSet, selector: Selector, k,
             return w0_l, w0_r, {"cost": ev.value, "iterations": 0,
                                 "converged": False, "flagged": True}
 
-    penalized = spec.variant != "mwf" and spec.alpha > 0.0 and 0.0 < freq <= spec.cue_cutoff
-    if penalized:
-        cue_in = (
-            input_ipd(phi_vv, q_l, q_r)
-            if spec.variant == "mwf-itd"
-            else input_ic(phi_vv, q_l, q_r)
-        )
-        penalized = cue_in is not None
-    if not penalized:
+    cue_in = penalty_cue(spec, phi_vv, q_l, q_r, freq)
+    if cue_in is None:
         ev = combined(w0_l, w0_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq)
         return w0_l, w0_r, {"cost": ev.value, "iterations": 0,
                             "converged": True, "flagged": False}
 
-    def objective(xvec):
-        wl, wr = unpack_filters(xvec)
-        ev = combined(wl, wr, phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq, cue_in=cue_in)
-        return ev.value, ev.gradient
-
-    def hessian(xvec):
-        wl, wr = unpack_filters(xvec)
-        return combined_hessian(wl, wr, phi_xx, phi_yy, phi_vv, q_l, q_r,
-                                spec, freq, cue_in=cue_in)
+    # invariants of the bin are built once; each call repeats combined's
+    # floating-point operations exactly
+    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq, cue_in=cue_in)
 
     starts = [pack_filters(w0_l, w0_r)]
     if spec.variant == "mwf-itd":
@@ -387,12 +380,12 @@ def solve_bin(spec: CostSpec, phi: CoherenceSet, selector: Selector, k,
     outcome = None
     total_iterations = 0
     for x0 in starts:
-        res = minimize_bfgs(objective, x0, cfg, h0=_inverse_spd(hessian(x0)))
+        res = minimize_bfgs(objective, x0, cfg, h0=_inverse_spd(objective.hessian(x0)))
         total_iterations += res.iterations
         x_fin, f_fin, g_fin, converged = res.x, res.value, res.gradient, res.converged
         if not converged and np.isfinite(f_fin):
             x_fin, f_fin, g_fin, converged = _newton_polish(
-                objective, hessian, x_fin, f_fin, g_fin, cfg
+                objective, objective.hessian, x_fin, f_fin, g_fin, cfg
             )
         if not np.isfinite(f_fin):
             continue
@@ -439,18 +432,29 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
 
 @dataclass
 class CalibrationResult:
+    """Chosen weighting factor, its SNR loss, and the solve made at it.
+
+    ``solve`` and ``report`` are the filters and metrics of the probe at
+    ``alpha`` (the alpha = 0 reference solve when ``alpha`` is 0), so a
+    caller needs no second solve at the chosen weight.
+    """
+
     alpha: float
     achieved_loss: float
     snr_mwf_db: float
     snr_db: float
+    solve: SolveResult
+    report: metrics.MetricsReport
     warning: str | None = None
 
 
-def _worst_ear_snr(variant_spec, phi, selector, scene, solver_cfg, alpha):
+def _probe(variant_spec, phi, selector, scene, solver_cfg, alpha):
+    """Solve at ``alpha``; returns (worst-ear SNR in dB, solve, report)."""
     result = solve_all_bins(variant_spec.with_alpha(alpha), phi, selector, solver_cfg)
     report = metrics.evaluate_filters(result.filters, scene, selector,
                                       cue_cutoff=variant_spec.cue_cutoff)
-    return report.snr_l if scene.worst_ear == "left" else report.snr_r
+    snr = report.snr_l if scene.worst_ear == "left" else report.snr_r
+    return snr, result, report
 
 
 def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
@@ -462,15 +466,28 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
     dB at the ear nearest the noise.  The log grid is searched by bisection
     (the SNR is monotone in alpha up to solver jitter), then the bracket is
     refined with ``refinements`` log-space bisections.
+
+    Every search below only ever raises its feasible end, so the returned
+    alpha is the largest feasible one probed, or 0.  Only that probe's solve
+    and report are kept, and they are returned with the result.
     """
     if spec.variant == "mwf":
         raise InvalidInputError("calibration applies to penalized variants only")
     if loss_fraction < 0:
         raise InvalidInputError("loss_fraction must be non-negative")
-    snr_mwf = _worst_ear_snr(spec, phi, selector, scene, solver_cfg, 0.0)
+    snr_mwf, *reference = _probe(spec, phi, selector, scene, solver_cfg, 0.0)
+    kept = {0.0: reference}  # largest feasible alpha probed -> (solve, report)
+
+    def result(alpha, snr, warning=None):
+        return CalibrationResult(alpha=alpha, achieved_loss=1.0 - snr / snr_mwf,
+                                 snr_mwf_db=snr_mwf, snr_db=snr,
+                                 solve=kept[alpha][0], report=kept[alpha][1],
+                                 warning=warning)
+
     if loss_fraction == 0.0:
         return CalibrationResult(alpha=0.0, achieved_loss=0.0,
-                                 snr_mwf_db=snr_mwf, snr_db=snr_mwf)
+                                 snr_mwf_db=snr_mwf, snr_db=snr_mwf,
+                                 solve=reference[0], report=reference[1])
     if snr_mwf <= 0:
         raise InvalidInputError("worst-ear reference SNR is not positive; "
                                 "cannot express a fractional loss")
@@ -481,17 +498,17 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
 
     def feasible(alpha):
         if alpha not in snr_cache:
-            snr_cache[alpha] = _worst_ear_snr(spec, phi, selector, scene,
-                                              solver_cfg, alpha)
+            snr, *solved = _probe(spec, phi, selector, scene, solver_cfg, alpha)
+            snr_cache[alpha] = snr
+            if snr >= floor and alpha > max(kept):
+                kept.clear()
+                kept[alpha] = solved
         return snr_cache[alpha] >= floor
 
-    warning = None
     if feasible(grid[-1]):
-        warning = "grid exhausted: constraint satisfied at the upper bound"
         alpha = float(grid[-1])
-        snr = snr_cache[alpha]
-        return CalibrationResult(alpha=alpha, achieved_loss=1.0 - snr / snr_mwf,
-                                 snr_mwf_db=snr_mwf, snr_db=snr, warning=warning)
+        return result(alpha, snr_cache[alpha],
+                      "grid exhausted: constraint satisfied at the upper bound")
     if not feasible(grid[0]):
         # Penalty already too strong at the lowest grid point: refine toward 0.
         lo, hi = 0.0, float(grid[0])
@@ -501,12 +518,8 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
                 lo = mid
             else:
                 hi = mid
-        snr = snr_cache.get(lo, snr_mwf)
-        return CalibrationResult(
-            alpha=lo, achieved_loss=1.0 - snr / snr_mwf,
-            snr_mwf_db=snr_mwf, snr_db=snr,
-            warning="penalty infeasible at the lowest grid point",
-        )
+        return result(lo, snr_cache.get(lo, snr_mwf),
+                      "penalty infeasible at the lowest grid point")
 
     # Binary search for the feasibility boundary on the grid.
     lo_i, hi_i = 0, grid_points - 1
@@ -523,9 +536,7 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
             lo = mid
         else:
             hi = mid
-    snr = snr_cache[lo]
-    return CalibrationResult(alpha=lo, achieved_loss=1.0 - snr / snr_mwf,
-                             snr_mwf_db=snr_mwf, snr_db=snr, warning=warning)
+    return result(lo, snr_cache[lo])
 
 
 SWEEP_COLUMNS = ("alpha", "snr_l_db", "snr_r_db", "disnr_l_db", "disnr_r_db",

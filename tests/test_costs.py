@@ -5,16 +5,19 @@ from hypothesis import strategies as st
 
 from binaural_mwf import InvalidInputError
 from binaural_mwf.costs import (
+    BinObjective,
     CostSpec,
     DEGENERATE_PENALTY,
     FilterPair,
     combined,
+    combined_hessian,
     input_ic,
     input_ipd,
     j_ic,
     j_ipd,
     j_w,
     pack_filters,
+    penalty_cue,
     unpack_filters,
 )
 from binaural_mwf.scene import steering_vector
@@ -378,3 +381,84 @@ class TestPacking:
         a, b = unpack_filters(pack_filters(w_l, w_r))
         np.testing.assert_array_equal(a, w_l)
         np.testing.assert_array_equal(b, w_r)
+
+
+class TestBinObjective:
+    """The per-bin objective is bitwise equal to the one-shot cost calls."""
+
+    @staticmethod
+    def low_rank_psd(rng, m, rank):
+        a = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        return a @ a.conj().T
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        variant=st.sampled_from(["mwf", "mwf-itd", "mwf-ic"]),
+        alpha=st.sampled_from([0.0, 0.3, 40.0, 1e5]),
+        freq=st.sampled_from([0.0, 250.0, 1500.0, 2000.0]),
+        case=st.sampled_from(["generic", "rank-one noise", "zero noise",
+                              "collapsed u", "zero filters"]),
+    )
+    def test_matches_one_shot_costs(self, seed, variant, alpha, freq, case):
+        rng = np.random.default_rng(seed)
+        m = 6
+        sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[3])
+        phi_xx = random_psd(rng, m)
+        if case == "zero noise":
+            phi_vv = np.zeros((m, m), dtype=complex)
+        elif case == "rank-one noise":
+            phi_vv = self.low_rank_psd(rng, m, 1)
+        else:
+            phi_vv = random_psd(rng, m)
+        phi_yy = phi_xx + phi_vv
+        spec = CostSpec(variant, alpha)
+        objective = BinObjective(phi_xx, phi_yy, phi_vv, sel.q_l, sel.q_r, spec, freq)
+        cue = penalty_cue(spec, phi_vv, sel.q_l, sel.q_r, freq)
+        assert (objective.penalty is None) == (cue is None)
+        if case == "zero noise":
+            assert cue is None
+        # several points per objective: reuse must not disturb its state
+        for _ in range(3):
+            w_l, w_r = random_filters(rng, m)
+            if case == "collapsed u":
+                c_l = phi_vv @ w_l  # u = c_l^H w_r, so project c_l out of w_r
+                w_r = w_r - c_l * (np.vdot(c_l, w_r) / np.vdot(c_l, c_l))
+            elif case == "zero filters":
+                w_l = np.zeros(m, dtype=complex)
+            base = j_w(w_l, w_r, phi_xx, phi_yy, sel.q_l, sel.q_r)
+            value, grad = base.value, base.gradient
+            if cue is not None:
+                term = j_ipd if variant == "mwf-itd" else j_ic
+                pen = term(w_l, w_r, phi_vv, sel.q_l, sel.q_r, cue)
+                value = base.value + alpha * pen.value
+                grad = base.gradient + alpha * pen.gradient
+            x = pack_filters(w_l, w_r)
+            got_value, got_grad = objective(x)
+            assert np.array_equal(got_value, value, equal_nan=True)
+            assert np.array_equal(got_grad, grad, equal_nan=True)
+            one_shot = combined(w_l, w_r, phi_xx, phi_yy, phi_vv, sel.q_l, sel.q_r,
+                                spec, freq)
+            assert np.array_equal(one_shot.value, value, equal_nan=True)
+            assert np.array_equal(one_shot.gradient, grad, equal_nan=True)
+            hess = combined_hessian(w_l, w_r, phi_xx, phi_yy, phi_vv, sel.q_l,
+                                    sel.q_r, spec, freq)
+            assert np.array_equal(objective.hessian(x), hess, equal_nan=True)
+
+    def test_penalty_cue_gating(self, sel4):
+        rng = np.random.default_rng(21)
+        phi_vv = random_psd(rng, 4)
+        ipd = input_ipd(phi_vv, sel4.q_l, sel4.q_r)
+        ic = input_ic(phi_vv, sel4.q_l, sel4.q_r)
+        assert penalty_cue(CostSpec("mwf-itd", 1.0), phi_vv, sel4.q_l, sel4.q_r,
+                           500.0) == ipd
+        assert penalty_cue(CostSpec("mwf-ic", 1.0), phi_vv, sel4.q_l, sel4.q_r,
+                           1500.0) == ic
+        for spec, freq in [(CostSpec("mwf", 1.0), 500.0),
+                           (CostSpec("mwf-ic", 0.0), 500.0),
+                           (CostSpec("mwf-ic", 1.0), 0.0),
+                           (CostSpec("mwf-itd", 1.0), 1500.5)]:
+            assert penalty_cue(spec, phi_vv, sel4.q_l, sel4.q_r, freq) is None
+        zero = np.zeros((4, 4), dtype=complex)
+        assert penalty_cue(CostSpec("mwf-ic", 1.0), zero, sel4.q_l, sel4.q_r,
+                           500.0) is None

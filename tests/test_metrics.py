@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -188,6 +189,19 @@ class TestEndToEnd:
         in_l, in_r = input_snr_db(scene30, selector)
         assert rep.snr_l >= in_l + 10.0
         assert rep.snr_r >= in_r + 10.0
+
+    def test_reused_scene_terms_match_a_fresh_scene(self, scene30, mwf30, selector):
+        # the shared scene keeps terms from earlier filters and cutoffs; a
+        # copy starts without any
+        evaluate_filters(mwf30.filters, scene30, selector, cue_cutoff=1000.0)
+        for cutoff in (1500.0, 1000.0):
+            fresh = dataclasses.replace(scene30)
+            assert not fresh.metric_terms
+            want = evaluate_filters(mwf30.filters, fresh, selector, cue_cutoff=cutoff)
+            got = evaluate_filters(mwf30.filters, scene30, selector, cue_cutoff=cutoff)
+            assert got.to_dict() == want.to_dict()
+        fresh = dataclasses.replace(scene30)
+        assert input_snr_db(scene30, selector) == input_snr_db(fresh, selector)
 
     def test_unprocessed_rank_one_noise_fully_coherent(self, cfg, geometry, selector):
         rng = np.random.default_rng(3)

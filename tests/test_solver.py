@@ -227,6 +227,19 @@ class TestSolveAllBins:
         assert np.max(dev) < 0.05
 
 
+def assert_calibration_solve(cal, spec, phi, selector, scene):
+    """The calibration's solve and report are those of a fresh solve at its alpha."""
+    direct = solve_all_bins(spec.with_alpha(cal.alpha), phi, selector)
+    np.testing.assert_array_equal(cal.solve.filters.w_l, direct.filters.w_l)
+    np.testing.assert_array_equal(cal.solve.filters.w_r, direct.filters.w_r)
+    for name in ("cost", "iterations", "converged", "flagged"):
+        np.testing.assert_array_equal(getattr(cal.solve, name), getattr(direct, name))
+    report = evaluate_filters(direct.filters, scene, selector)
+    assert cal.report.to_dict() == report.to_dict()
+    worst = report.snr_l if scene.worst_ear == "left" else report.snr_r
+    assert cal.snr_db == worst
+
+
 class TestCalibration:
     def test_zero_loss_fraction_returns_zero_alpha(self, phi30, selector, scene30):
         cal = calibrate_alpha(
@@ -234,6 +247,28 @@ class TestCalibration:
         )
         assert cal.alpha == 0.0
         assert cal.achieved_loss == 0.0
+        assert_calibration_solve(cal, CostSpec("mwf-ic"), phi30, selector, scene30)
+
+    def test_grid_top_returns_its_solve(self, phi30, selector, scene30):
+        spec = CostSpec("mwf-ic")
+        cal = calibrate_alpha(spec, phi30, selector, scene30, grid_lo=0.1,
+                              grid_hi=1.0, grid_points=2)
+        assert cal.warning.startswith("grid exhausted")
+        assert cal.alpha == 1.0
+        assert_calibration_solve(cal, spec, phi30, selector, scene30)
+
+    @pytest.mark.parametrize("loss", [1e-9, 0.015])
+    def test_infeasible_lowest_grid_point_returns_its_solve(
+        self, phi30, selector, scene30, loss
+    ):
+        # 1e-9 refines down to alpha = 0; 0.015 keeps a positive refinement
+        spec = CostSpec("mwf-ic")
+        cal = calibrate_alpha(spec, phi30, selector, scene30, loss_fraction=loss,
+                              grid_lo=1.0, grid_hi=10.0, grid_points=2,
+                              refinements=3)
+        assert cal.warning == "penalty infeasible at the lowest grid point"
+        assert (cal.alpha > 0) == (loss > 1e-9)
+        assert_calibration_solve(cal, spec, phi30, selector, scene30)
 
     def test_mwf_variant_rejected(self, phi30, selector, scene30):
         with pytest.raises(InvalidInputError):
@@ -244,6 +279,7 @@ class TestCalibration:
         assert cal.warning is None
         assert 0.13 <= cal.achieved_loss <= 0.15
         assert cal.alpha > 0
+        assert_calibration_solve(cal, CostSpec("mwf-ic"), phi30, selector, scene30)
 
 
 class TestSweep:
