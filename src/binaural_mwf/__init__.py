@@ -3,6 +3,7 @@
 Library layout:
 
 - ``stft``          frame analysis / weighted overlap-add synthesis
+- ``wavio``         WAV read/write (16-bit PCM, 32-bit float, no resampling)
 - ``scene``         parametric binaural scene synthesis and ideal VAD
 - ``spatial_stats`` coherence matrices and IPD/ITD/IC estimators
 - ``costs``         Wiener, phase-penalty and coherence-penalty objectives

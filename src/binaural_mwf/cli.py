@@ -201,7 +201,8 @@ def build_run_config(raw, seed_override=None, out_override=None) -> RunConfig:
     )
 
 
-def _load_scene(cfg: RunConfig):
+def _prepare(cfg: RunConfig):
+    """(scene, selector, coherence of the mixture) of the configured run."""
     speech, _ = wavio.read_wav(cfg.speech_wav, expected_rate=cfg.stft.sample_rate)
     if speech.shape[0] != 1:
         raise InvalidInputError("scene.speech_wav must be mono")
@@ -216,7 +217,7 @@ def _load_scene(cfg: RunConfig):
             )
         return ir
 
-    return synthesize_scene(
+    scene = synthesize_scene(
         speech[0],
         cfg.scene,
         cfg.geometry,
@@ -224,17 +225,23 @@ def _load_scene(cfg: RunConfig):
         speech_ir=load_ir(cfg.speech_ir_wav),
         noise_ir=load_ir(cfg.noise_ir_wav),
     )
+    selector = spatial_stats.Selector.from_geometry(cfg.geometry)
+    return scene, selector, spatial_stats.estimate_coherence(scene.y, scene.vad)
 
 
-def _variant_alpha(cfg: RunConfig, variant, phi, selector, scene):
+def _calibrate(cfg: RunConfig, variant, loss_fraction, scene, selector, phi):
+    return solver.calibrate_alpha(
+        CostSpec(variant, cue_cutoff=cfg.cue_cutoff),
+        phi, selector, scene, cfg.solver, loss_fraction=loss_fraction,
+    )
+
+
+def _variant_alpha(cfg: RunConfig, variant, scene, selector, phi):
     """(alpha, calibration record or None) for one variant."""
     if variant == "mwf":
         return 0.0, None
     if cfg.calibrate is not None:
-        cal = solver.calibrate_alpha(
-            CostSpec(variant, cue_cutoff=cfg.cue_cutoff),
-            phi, selector, scene, cfg.solver, loss_fraction=cfg.calibrate,
-        )
+        cal = _calibrate(cfg, variant, cfg.calibrate, scene, selector, phi)
         if cal.warning:
             print(f"warning: {variant}: {cal.warning}", file=sys.stderr)
         return cal.alpha, cal
@@ -245,14 +252,12 @@ def _variant_alpha(cfg: RunConfig, variant, phi, selector, scene):
 
 
 def cmd_process(cfg: RunConfig):
-    scene = _load_scene(cfg)
-    selector = spatial_stats.Selector.from_geometry(cfg.geometry)
-    phi = spatial_stats.estimate_coherence(scene.y, scene.vad)
+    scene, selector, phi = _prepare(cfg)
 
     results = {}
     nonconv_fractions = []
     for variant in cfg.variants:
-        alpha, cal = _variant_alpha(cfg, variant, phi, selector, scene)
+        alpha, cal = _variant_alpha(cfg, variant, scene, selector, phi)
         if cal is not None:  # calibration already solved at the chosen alpha
             solved, report = cal.solve, cal.report
         else:
@@ -316,9 +321,7 @@ def cmd_sweep(cfg: RunConfig):
             alphas.append(a)
     if len(alphas) < 2:
         raise ConfigError("run.alphas", "fewer than two distinct alpha values")
-    scene = _load_scene(cfg)
-    selector = spatial_stats.Selector.from_geometry(cfg.geometry)
-    phi = spatial_stats.estimate_coherence(scene.y, scene.vad)
+    scene, selector, phi = _prepare(cfg)
     rows_by_variant = {}
     for variant in cfg.variants:
         spec = CostSpec(variant, cue_cutoff=cfg.cue_cutoff)
@@ -333,17 +336,12 @@ def cmd_sweep(cfg: RunConfig):
 
 def cmd_calibrate(cfg: RunConfig):
     loss = cfg.calibrate if cfg.calibrate is not None else 0.15
-    scene = _load_scene(cfg)
-    selector = spatial_stats.Selector.from_geometry(cfg.geometry)
-    phi = spatial_stats.estimate_coherence(scene.y, scene.vad)
+    scene, selector, phi = _prepare(cfg)
     doc = {"seed": cfg.seed, "loss_fraction": loss, "variants": {}}
     for variant in cfg.variants:
         if variant == "mwf":
             continue
-        cal = solver.calibrate_alpha(
-            CostSpec(variant, cue_cutoff=cfg.cue_cutoff),
-            phi, selector, scene, cfg.solver, loss_fraction=loss,
-        )
+        cal = _calibrate(cfg, variant, loss, scene, selector, phi)
         doc["variants"][variant] = {
             "alpha": cal.alpha,
             "achieved_snr_loss": cal.achieved_loss,
@@ -362,9 +360,12 @@ def cmd_calibrate(cfg: RunConfig):
 
 
 def cmd_phase_pdf(args):
+    if args.points < 1:
+        raise InvalidInputError("--points must be at least 1")
+    if not np.all(np.isfinite([args.rho_abs, args.rho_arg])):
+        raise InvalidInputError("--rho-abs and --rho-arg must be finite")
     if abs(args.rho_abs) >= 1.0:
-        print("error: |rho| must be < 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise InvalidInputError("|rho| must be < 1")
     params = RatioPhaseParams(rho=args.rho_abs * np.exp(1j * args.rho_arg))
     points = args.points
     edges = -np.pi + 2.0 * np.pi * np.arange(points + 1) / points
@@ -423,13 +424,7 @@ def main(argv=None):
         if args.command == "sweep":
             return cmd_sweep(cfg)
         return cmd_calibrate(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidInputError as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

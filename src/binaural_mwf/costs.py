@@ -49,6 +49,8 @@ class CostSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")
+        if not np.isfinite(self.alpha):
+            raise InvalidInputError("alpha must be finite")
         if self.alpha < 0:
             raise InvalidInputError("alpha must be non-negative")
 
@@ -319,12 +321,17 @@ def _degenerate(n_params):
     )
 
 
-def input_ipd(phi_vv, q_l, q_r):
-    """Reference-microphone noise phase for one bin, or None if undefined."""
+def _input_products(phi_vv, q_l, q_r):
+    """(cross power, left power, right power, guard) of the reference mics."""
     num = complex(q_l @ phi_vv @ q_r)
     p_l = float((q_l @ phi_vv @ q_l).real)
     p_r = float((q_r @ phi_vv @ q_r).real)
-    eps = _noise_eps(phi_vv)
+    return num, p_l, p_r, _noise_eps(phi_vv)
+
+
+def input_ipd(phi_vv, q_l, q_r):
+    """Reference-microphone noise phase for one bin, or None if undefined."""
+    num, p_l, p_r, eps = _input_products(phi_vv, q_l, q_r)
     if p_l <= eps or p_r <= eps or abs(num) <= eps:
         return None
     return float(np.angle(num))
@@ -332,10 +339,7 @@ def input_ipd(phi_vv, q_l, q_r):
 
 def input_ic(phi_vv, q_l, q_r):
     """Reference-microphone noise coherence for one bin, or None."""
-    num = complex(q_l @ phi_vv @ q_r)
-    p_l = float((q_l @ phi_vv @ q_l).real)
-    p_r = float((q_r @ phi_vv @ q_r).real)
-    eps = _noise_eps(phi_vv)
+    num, p_l, p_r, eps = _input_products(phi_vv, q_l, q_r)
     if p_l <= eps or p_r <= eps:
         return None
     return num / np.sqrt(p_l * p_r)

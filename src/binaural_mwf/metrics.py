@@ -28,6 +28,7 @@ from .spatial_stats import (
     CUE_CUTOFF_HZ,
     CueEstimate,
     Selector,
+    covariance_per_bin,
     input_cues,
     output_cues,
     wrap_angle,
@@ -210,15 +211,6 @@ def write_ic_spectrum_csv(path, freqs, cues_by_variant):
         fh.write("\n".join(lines) + "\n")
 
 
-def _direct_covariance(tensor: SpectralTensor, frame_mask=None):
-    data = tensor.data if frame_mask is None else tensor.data[:, frame_mask, :]
-    t = data.shape[1]
-    if t < 2:
-        raise InvalidInputError("need at least two frames for a covariance estimate")
-    cov = np.einsum("mtk,ntk->kmn", data, data.conj()) / t
-    return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
-
-
 def _scene_term(scene, key, compute):
     """``compute()`` once per scene and ``key``, then reused.
 
@@ -251,27 +243,29 @@ def _identity_terms(scene, selector: Selector):
     return _scene_term(scene, ("identity",) + _reference_key(selector), compute)
 
 
+def _cue_pair(filters: FilterPair, scene, selector: Selector, cue_cutoff, name,
+              tensor, frame_mask):
+    """(input, output) cues on the direct covariance of ``tensor``'s frames."""
+    phi = _scene_term(scene, name,
+                      lambda: covariance_per_bin(tensor.data, frame_mask))
+    cfg = tensor.config
+    cues_in = _scene_term(
+        scene, (name, cue_cutoff) + _reference_key(selector),
+        lambda: input_cues(phi, selector, cfg, cue_cutoff))
+    return cues_in, output_cues(phi, filters, cfg, cue_cutoff)
+
+
 def noise_cue_pair(filters: FilterPair, scene, selector: Selector,
                    cue_cutoff=CUE_CUTOFF_HZ):
     """(input, output) noise cues on the directly estimated noise coherence."""
-    phi_vv = _scene_term(scene, "phi_vv", lambda: _direct_covariance(scene.v))
-    cfg = scene.v.config
-    cues_in = _scene_term(
-        scene, ("noise cues", cue_cutoff) + _reference_key(selector),
-        lambda: input_cues(phi_vv, selector, cfg, cue_cutoff))
-    return cues_in, output_cues(phi_vv, filters, cfg, cue_cutoff)
+    return _cue_pair(filters, scene, selector, cue_cutoff, "phi_vv", scene.v, None)
 
 
 def speech_cue_pair(filters: FilterPair, scene, selector: Selector,
                     cue_cutoff=CUE_CUTOFF_HZ):
     """(input, output) speech cues over speech-active frames."""
-    phi_xx = _scene_term(scene, "phi_xx",
-                         lambda: _direct_covariance(scene.x, scene.vad.active))
-    cfg = scene.x.config
-    cues_in = _scene_term(
-        scene, ("speech cues", cue_cutoff) + _reference_key(selector),
-        lambda: input_cues(phi_xx, selector, cfg, cue_cutoff))
-    return cues_in, output_cues(phi_xx, filters, cfg, cue_cutoff)
+    return _cue_pair(filters, scene, selector, cue_cutoff, "phi_xx", scene.x,
+                     scene.vad.active)
 
 
 def evaluate_filters(filters: FilterPair, scene, selector: Selector,

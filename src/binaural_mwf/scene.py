@@ -152,8 +152,6 @@ class SceneData:
     v: SpectralTensor
     vad: VadLabels
     worst_ear: str  # "left" | "right"
-    speech_steering: SteeringVectorSet
-    noise_steering: SteeringVectorSet
     spec: SceneSpec
     geometry: ArrayGeometry
     # filter-independent metric terms, filled on first use by ``metrics``
@@ -255,14 +253,14 @@ def steering_from_impulse_responses(ir, sample_rate, cfg: StftConfig):
             f"impulse-response rate {sample_rate} does not match config "
             f"{cfg.sample_rate} (no resampling)"
         )
-    taps = np.arange(ir.shape[1])
-    # (bins, taps) DTFT kernel; fine for the few-hundred-tap responses.
-    kernel = np.exp(-2j * np.pi * np.outer(cfg.freqs / cfg.sample_rate, taps))
-    return SteeringVectorSet(h=kernel @ ir.T, azimuth=np.nan, distance=np.nan)
+    h = _response_from_ir(ir, cfg.freqs, cfg.sample_rate).T
+    return SteeringVectorSet(h=h, azimuth=np.nan, distance=np.nan)
 
 
 def _response_from_ir(ir, freqs, sample_rate):
+    """Exact DTFT of (M, taps) responses at ``freqs``, (M, F)."""
     taps = np.arange(ir.shape[1])
+    # (F, taps) kernel; fine for the few-hundred-tap responses.
     kernel = np.exp(-2j * np.pi * np.outer(np.asarray(freqs) / sample_rate, taps))
     return (kernel @ ir.T).T  # (M, F)
 
@@ -449,21 +447,12 @@ def synthesize_scene(
     v = SpectralTensor(v.data * gain, cfg)
     y = SpectralTensor(x.data + v.data, cfg)
 
-    def bin_grid_steering(azimuth, distance, ir):
-        if ir is not None:
-            h = _response_from_ir(np.atleast_2d(ir), cfg.freqs, cfg.sample_rate).T
-            return SteeringVectorSet(h=h, azimuth=np.nan, distance=np.nan)
-        h = scene_response(geometry, azimuth, distance, spec, cfg.freqs).T
-        return SteeringVectorSet(h=h, azimuth=float(azimuth), distance=float(distance))
-
     return SceneData(
         y=y,
         x=x,
         v=v,
         vad=vad,
         worst_ear=worst_ear,
-        speech_steering=bin_grid_steering(spec.speech_azimuth, spec.speech_distance, speech_ir),
-        noise_steering=bin_grid_steering(spec.noise_azimuth, spec.noise_distance, noise_ir),
         spec=spec,
         geometry=geometry,
     )

@@ -36,6 +36,9 @@ from .errors import InvalidInputError
 from .spatial_stats import CoherenceSet, Selector
 
 _LOADING_REL = 1e-10
+# strong-Wolfe constants: sufficient decrease (c1) and curvature (c2)
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.9
 
 
 @dataclass(frozen=True)
@@ -44,21 +47,22 @@ class SolverConfig:
 
     Convergence is declared when the gradient infinity norm drops below
     ``gradient_tolerance * max(1, |cost|)``.  The line search enforces the
-    sufficient-decrease (c1) and curvature (c2) conditions.
+    sufficient-decrease and curvature conditions with the fixed constants
+    ``_WOLFE_C1`` = 1e-4 and ``_WOLFE_C2`` = 0.9.
     """
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.gradient_tolerance <= 0:
             raise InvalidInputError("gradient_tolerance must be positive")
-        if not 0 < self.wolfe_c1 < self.wolfe_c2 < 1:
-            raise InvalidInputError("need 0 < c1 < c2 < 1")
+
+
+def _converged(f, g, cfg: SolverConfig):
+    return np.max(np.abs(g)) <= cfg.gradient_tolerance * max(1.0, abs(f))
 
 
 @dataclass
@@ -88,7 +92,7 @@ class BfgsResult:
     converged: bool
 
 
-def _wolfe_line_search(fun, x, p, f0, g0, c1, c2, max_evals=30):
+def _wolfe_line_search(fun, x, p, f0, g0, max_evals=30):
     """Strong Wolfe search along p; returns (alpha, f, g) or None.
 
     Bracket/zoom scheme with bisection; robust rather than fast, which is
@@ -110,11 +114,11 @@ def _wolfe_line_search(fun, x, p, f0, g0, c1, c2, max_evals=30):
     while evals < max_evals:
         f, g, d = phi(alpha)
         evals += 1
-        if f > f0 + c1 * alpha * d0 or (evals > 1 and f >= f_prev):
+        if f > f0 + _WOLFE_C1 * alpha * d0 or (evals > 1 and f >= f_prev):
             lo, f_lo, d_lo, hi = alpha_prev, f_prev, d_prev, alpha
             f_hi_known = f
             break
-        if abs(d) <= -c2 * d0:
+        if abs(d) <= -_WOLFE_C2 * d0:
             return alpha, f, g
         if d >= 0:
             lo, f_lo, d_lo, hi = alpha, f, d, alpha_prev
@@ -144,10 +148,10 @@ def _wolfe_line_search(fun, x, p, f0, g0, c1, c2, max_evals=30):
             alpha = 0.5 * (lo + hi)
         f, g, d = phi(alpha)
         evals += 1
-        if f > f0 + c1 * alpha * d0 or f >= f_lo:
+        if f > f0 + _WOLFE_C1 * alpha * d0 or f >= f_lo:
             hi, f_hi_known = alpha, f
         else:
-            if abs(d) <= -c2 * d0:
+            if abs(d) <= -_WOLFE_C2 * d0:
                 return alpha, f, g
             best = (alpha, f, g)
             if d * (hi - lo) >= 0:
@@ -175,12 +179,8 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
     first_update = h0 is None
     iterations = 0
     restarted = False
-
-    def done(f, g):
-        return np.max(np.abs(g)) <= cfg.gradient_tolerance * max(1.0, abs(f))
-
     while iterations < cfg.max_iterations:
-        if done(f, g):
+        if _converged(f, g, cfg):
             return BfgsResult(x, f, g, iterations, True)
         p = -(h @ g)
         if float(p @ g) >= 0:
@@ -188,7 +188,7 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
             p = -(h @ g)
             if float(p @ g) >= 0:
                 p = -g
-        step = _wolfe_line_search(fun, x, p, f, g, cfg.wolfe_c1, cfg.wolfe_c2)
+        step = _wolfe_line_search(fun, x, p, f, g)
         if step is None:
             # near a stationary point cost differences drown in rounding;
             # accept the quasi-Newton step on gradient-norm decrease instead
@@ -224,7 +224,7 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
         x = x + s
         f, g = f_new, g_new
         iterations += 1
-    return BfgsResult(x, f, g, iterations, done(f, g))
+    return BfgsResult(x, f, g, iterations, _converged(f, g, cfg))
 
 
 def _newton_polish(fun, hess_fn, x, f, g, cfg: SolverConfig, max_steps=30):
@@ -236,13 +236,9 @@ def _newton_polish(fun, hess_fn, x, f, g, cfg: SolverConfig, max_steps=30):
     Steps are accepted only when they shrink the gradient norm without
     measurably increasing the cost.
     """
-
-    def done(f, g):
-        return np.max(np.abs(g)) <= cfg.gradient_tolerance * max(1.0, abs(f))
-
     best = (x, f, g)
     for _ in range(max_steps):
-        if done(f, g):
+        if _converged(f, g, cfg):
             best = (x, f, g)
             break
         hess = hess_fn(x)
@@ -273,7 +269,7 @@ def _newton_polish(fun, hess_fn, x, f, g, cfg: SolverConfig, max_steps=30):
         if np.max(np.abs(g)) < np.max(np.abs(best[2])):
             best = (x, f, g)
     x, f, g = best
-    return x, f, g, done(f, g)
+    return x, f, g, _converged(f, g, cfg)
 
 
 def _inverse_spd(hess):
@@ -289,39 +285,41 @@ def _inverse_spd(hess):
     return 0.5 * (inv + inv.T)
 
 
-def mwf_closed_form(phi: CoherenceSet, selector: Selector):
-    """Closed-form Wiener filters per bin: w_e = Pyy^-1 Pxx q_e.
+def closed_form_bin(phi_yy, phi_xx, selector: Selector):
+    """Wiener filters of one bin, w_e = Pyy^-1 Pxx q_e: (w_l, w_r, flagged).
 
-    Near-singular Pyy receives diagonal loading; bins where even the loaded
-    solve fails keep the identity filter and are flagged (zero speech bins
-    legitimately solve to w = 0 and are not flagged).
+    Near-singular Pyy receives diagonal loading; a bin where even the loaded
+    solve fails keeps the identity filter and is flagged (a bin without
+    speech legitimately solves to w = 0 and is not flagged).
     """
-    k_bins, m = phi.bin_count, phi.mic_count
-    w = np.zeros((k_bins, 2, m), dtype=complex)
-    flagged = np.zeros(k_bins, dtype=bool)
-    q = np.stack([selector.q_l, selector.q_r], axis=1).astype(complex)
-    for k in range(k_bins):
-        pyy = phi.phi_yy[k]
-        rhs = phi.phi_xx[k] @ q
-        trace = float(np.trace(pyy).real)
-        if not np.any(rhs):
-            continue  # no speech: full suppression
-        vals = np.linalg.eigvalsh(pyy)
-        if trace <= 0:
-            flagged[k] = True
-            w[k, 0], w[k, 1] = selector.q_l, selector.q_r
-            continue
-        if vals[0] <= 1e-12 * vals[-1]:
-            pyy = pyy + (_LOADING_REL * trace / m) * np.eye(m)
-        try:
-            sol = np.linalg.solve(pyy, rhs)
-        except np.linalg.LinAlgError:
-            sol = None
-        if sol is None or not np.all(np.isfinite(sol)):
-            flagged[k] = True
-            w[k, 0], w[k, 1] = selector.q_l, selector.q_r
-            continue
-        w[k, 0], w[k, 1] = sol[:, 0], sol[:, 1]
+    m = phi_yy.shape[0]
+    rhs = phi_xx @ np.stack([selector.q_l, selector.q_r], axis=1).astype(complex)
+    trace = float(np.trace(phi_yy).real)
+    if not np.any(rhs):
+        return np.zeros(m, dtype=complex), np.zeros(m, dtype=complex), False
+    identity = selector.q_l.astype(complex), selector.q_r.astype(complex), True
+    vals = np.linalg.eigvalsh(phi_yy)
+    if trace <= 0:
+        return identity
+    if vals[0] <= 1e-12 * vals[-1]:
+        phi_yy = phi_yy + (_LOADING_REL * trace / m) * np.eye(m)
+    try:
+        sol = np.linalg.solve(phi_yy, rhs)
+    except np.linalg.LinAlgError:
+        return identity
+    if not np.all(np.isfinite(sol)):
+        return identity
+    w_l, w_r = sol.T.copy()
+    return w_l, w_r, False
+
+
+def mwf_closed_form(phi: CoherenceSet, selector: Selector):
+    """Closed-form Wiener filters of every bin (see ``closed_form_bin``)."""
+    w = np.zeros((phi.bin_count, 2, phi.mic_count), dtype=complex)
+    flagged = np.zeros(phi.bin_count, dtype=bool)
+    for k in range(phi.bin_count):
+        w[k, 0], w[k, 1], flagged[k] = closed_form_bin(phi.phi_yy[k], phi.phi_xx[k],
+                                                       selector)
     return FilterPair(w_l=w[:, 0, :], w_r=w[:, 1, :]), flagged
 
 
@@ -338,17 +336,8 @@ def solve_bin(spec: CostSpec, phi: CoherenceSet, selector: Selector, k,
     q_l, q_r = selector.q_l, selector.q_r
 
     if w0_l is None or w0_r is None:
-        sub = CoherenceSet(
-            phi_yy=phi.phi_yy[k : k + 1],
-            phi_vv=phi.phi_vv[k : k + 1],
-            phi_xx=phi.phi_xx[k : k + 1],
-            freqs=phi.freqs[k : k + 1],
-            frames_speech=phi.frames_speech,
-            frames_noise=phi.frames_noise,
-        )
-        init, init_flag = mwf_closed_form(sub, selector)
-        w0_l, w0_r = init.w_l[0], init.w_r[0]
-        if init_flag[0]:
+        w0_l, w0_r, init_flag = closed_form_bin(phi_yy, phi_xx, selector)
+        if init_flag:
             ev = combined(w0_l, w0_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq)
             return w0_l, w0_r, {"cost": ev.value, "iterations": 0,
                                 "converged": False, "flagged": True}
@@ -473,6 +462,8 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
     """
     if spec.variant == "mwf":
         raise InvalidInputError("calibration applies to penalized variants only")
+    if not np.isfinite(loss_fraction):
+        raise InvalidInputError("loss_fraction must be finite")
     if loss_fraction < 0:
         raise InvalidInputError("loss_fraction must be non-negative")
     snr_mwf, *reference = _probe(spec, phi, selector, scene, solver_cfg, 0.0)

@@ -104,10 +104,16 @@ class CueEstimate:
     freqs: np.ndarray
 
 
-def _covariance_per_bin(data, frame_mask):
-    """data (M, T, K) -> (K, M, M) average of frame outer products."""
-    sel = data[:, frame_mask, :]
+def covariance_per_bin(data, frame_mask=None):
+    """data (M, T, K) -> (K, M, M) average of frame outer products.
+
+    ``frame_mask`` selects the frames; without it every frame is averaged,
+    with no masked copy of ``data``.
+    """
+    sel = data if frame_mask is None else data[:, frame_mask, :]
     t = sel.shape[1]
+    if t < 2:
+        raise InvalidInputError("need at least two frames for a covariance estimate")
     cov = np.einsum("mtk,ntk->kmn", sel, sel.conj()) / t
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
@@ -136,8 +142,8 @@ def estimate_coherence(spec: SpectralTensor, vad: VadLabels) -> CoherenceSet:
         raise InvalidInputError(
             "need at least two frames of each class to estimate coherence"
         )
-    phi_yy = _covariance_per_bin(spec.data, active)
-    phi_vv = _covariance_per_bin(spec.data, ~active)
+    phi_yy = covariance_per_bin(spec.data, active)
+    phi_vv = covariance_per_bin(spec.data, ~active)
     phi_xx = psd_floor(phi_yy - phi_vv)
     return CoherenceSet(
         phi_yy=phi_yy,

@@ -61,6 +61,29 @@ class TestConfigParsing:
         assert rc == cli.EXIT_CONFIG
         assert "run.alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "run.alpha = nan", "run.alpha = inf", "run.calibrate = nan",
+    ])
+    def test_non_finite_weighting_rejected(self, tmp_path, speech_wav, capsys, line):
+        out = tmp_path / "out"
+        conf = write_config(tmp_path / "c.conf", speech_wav, out,
+                            extra=f"run.variants = mwf-itd, mwf-ic\n{line}")
+        rc = cli.main(["process", "--config", str(conf)])
+        assert rc == cli.EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    def test_noise_ir_channel_count_checked(self, tmp_path, speech_wav, capsys):
+        ir_wav = tmp_path / "noise_ir.wav"
+        wavio.write_wav(ir_wav, np.eye(2, 16), StftConfig().sample_rate)
+        out = tmp_path / "out"
+        conf = write_config(tmp_path / "c.conf", speech_wav, out,
+                            extra=f"scene.noise_ir_wav = {ir_wav}")
+        rc = cli.main(["process", "--config", str(conf)])
+        assert rc == cli.EXIT_CONFIG
+        assert str(ir_wav) in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
     def test_duplicate_key_rejected(self, tmp_path, speech_wav, capsys):
         conf = write_config(tmp_path / "c.conf", speech_wav, tmp_path / "out",
                             extra="run.seed = 43")
@@ -192,9 +215,19 @@ class TestPhasePdf:
         # bin-center analytic vs binned MC: allow 3 sigma plus curvature slack
         assert np.all(np.abs(rows[:, 2] - rows[:, 1]) < 3.0 * se + 1e-3)
 
-    def test_invalid_rho_rejected(self, tmp_path):
-        rc = cli.main(["phase-pdf", "--rho-abs", "1.0", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("args", [
+        ["--rho-abs", "1.0"],
+        ["--points", "0"],
+        ["--points", "-3"],
+        ["--rho-abs", "nan"],
+        ["--rho-arg", "nan"],
+    ], ids=["rho_abs_1", "points_0", "points_neg3", "rho_abs_nan", "rho_arg_nan"])
+    def test_invalid_arguments_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "pdf"
+        rc = cli.main(["phase-pdf", *args, "--samples", "1000", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "phase_pdf.csv").exists()
 
 
 class TestCalibratedProcess:

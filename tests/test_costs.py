@@ -283,6 +283,9 @@ class TestCombined:
             CostSpec("mwf-ild", 1.0)
         with pytest.raises(InvalidInputError):
             CostSpec("mwf", -1.0)
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                CostSpec("mwf-itd", alpha)
 
 
 class TestGradients:

@@ -196,13 +196,33 @@ class TestSceneSynthesis:
         sc = synthesize_scene(speech, spec, geometry, cfg)
         sel = Selector.from_geometry(geometry)
         cues_in, _ = noise_cue_pair(FilterPair.identity(sel, cfg.bin_count), sc, sel)
-        h = sc.noise_steering.h
+        h = scene_response(geometry, 30.0, 3.0, spec, cfg.freqs).T
         model = np.angle(
             h[:, geometry.ref_left] * np.conj(h[:, geometry.ref_right])
         )
         dev = np.abs(wrap_angle(cues_in.ipd[cues_in.valid] - model[cues_in.valid]))
         assert dev.max() < 0.1
         assert dev.mean() < 0.02
+
+    def test_measured_noise_ir_sets_input_phase(self, speech, geometry, cfg):
+        from binaural_mwf.costs import FilterPair
+        from binaural_mwf.metrics import noise_cue_pair
+
+        # noise impulse responses that delay each channel by whole samples
+        delays = np.array([1, 2, 3, 5, 6, 7])
+        noise_ir = np.zeros((geometry.total_mics, 16))
+        noise_ir[np.arange(geometry.total_mics), delays] = 1.0
+        sc = synthesize_scene(speech, SceneSpec(seed=11), geometry, cfg,
+                              noise_ir=noise_ir)
+        sel = Selector.from_geometry(geometry)
+        cues_in, _ = noise_cue_pair(FilterPair.identity(sel, cfg.bin_count), sc, sel)
+        lag = delays[geometry.ref_left] - delays[geometry.ref_right]
+        model = wrap_angle(-2.0 * np.pi * cfg.freqs * lag / cfg.sample_rate)
+        assert cues_in.valid.sum() > 10
+        dev = np.abs(wrap_angle(cues_in.ipd[cues_in.valid] - model[cues_in.valid]))
+        # the sensor floor only shows at the noise cutoff, where the noise fades
+        assert dev.max() < 0.1
+        assert dev.mean() < 0.01
 
 
 class TestSpecValidation:

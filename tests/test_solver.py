@@ -117,8 +117,6 @@ class TestBfgs:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(InvalidInputError):
-            SolverConfig(wolfe_c1=0.5, wolfe_c2=0.1)
 
 
 class TestSolveBin:
