@@ -17,10 +17,12 @@ guard the penalties return a fixed large value with zero gradient so the
 Wiener gradient keeps line searches finite near w = 0.
 
 Each term is one class whose constructor computes the filter-independent
-parts of a bin.  The public functions build a term per call;
-:class:`BinObjective` keeps them across an optimizer's evaluations.  Both
-run the same floating-point operations in the same order, so their results
-are bitwise equal.
+parts of a bin.  A penalty term builds its parameter derivatives once per
+evaluation, as whole 4M vectors, and its gradient and Hessian both read
+them.  The public functions build a term per call; :class:`BinObjective`
+keeps them across an optimizer's evaluations.  Both run the same
+floating-point operations in the same order, so their results are bitwise
+equal.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spatial_stats import CUE_CUTOFF_HZ, Selector, wrap_angle
+from .spatial_stats import _EPS_REL, CUE_CUTOFF_HZ, Selector, wrap_angle
 
 VARIANTS = ("mwf", "mwf-itd", "mwf-ic")
 
 DEGENERATE_PENALTY = 1.0e6
-_EPS_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class CostSpec:
             raise InvalidInputError("alpha must be finite")
         if self.alpha < 0:
             raise InvalidInputError("alpha must be non-negative")
+        if not (np.isfinite(self.cue_cutoff) and self.cue_cutoff > 0):
+            raise InvalidInputError("cue_cutoff must be finite and positive")
 
     def with_alpha(self, alpha):
         return CostSpec(variant=self.variant, alpha=alpha, cue_cutoff=self.cue_cutoff)
@@ -101,11 +104,6 @@ def unpack_filters(x):
     w_l = x[:m] + 1j * x[m : 2 * m]
     w_r = x[2 * m : 3 * m] + 1j * x[3 * m :]
     return w_l, w_r
-
-
-def _grad_blocks(g_l, g_r):
-    """Complex per-ear gradients -> stacked real gradient."""
-    return np.concatenate([g_l.real, g_l.imag, g_r.real, g_r.imag])
 
 
 def _realify(mat):
@@ -170,7 +168,7 @@ class _WienerTerm:
             + (w_l_conj @ y_l).real
             + (w_r_conj @ y_r).real
         )
-        return value, _grad_blocks(2.0 * (y_l - b_l), 2.0 * (y_r - b_r))
+        return value, pack_filters(2.0 * (y_l - b_l), 2.0 * (y_r - b_r))
 
     def hessian(self):
         if self._hessian is None:
@@ -191,47 +189,36 @@ class _PhaseTerm:
         self.eps = _noise_eps(phi_vv)
         self._u2 = None
 
-    def _products(self, w_l, w_r):
+    def _derivatives(self, w_l, w_r):
+        """(d, u, c_l, c_r, d(angle u)/d(params)), or None past the guard."""
         c_l, c_r, u, p_l, p_r = _noise_products(w_l, w_r, self.phi_vv)
         eps = self.eps
         if p_l <= eps or p_r <= eps or abs(u) <= eps:
             return None
-        return c_l, c_r, u
-
-    def value_and_gradient(self, w_l, w_r):
-        products = self._products(w_l, w_r)
-        if products is None:
-            return None
-        c_l, c_r, u = products
         d = float(wrap_angle(np.angle(u) - self.target))
-        # d(angle u)/d(params): u = w_l^H Phi w_r is linear in conj(w_l) and w_r,
-        # and d(angle u)/dx = Im((du/dx)/u).
+        # u = w_l^H Phi w_r is linear in conj(w_l) and w_r, and
+        # d(angle u)/dx = Im((du/dx)/u).
         ru = c_r / u
         su = c_l.conj() / u
-        return d * d, 2.0 * d * np.concatenate([ru.imag, -ru.real, su.imag, su.real])
+        return d, u, c_l, c_r, np.concatenate([ru.imag, -ru.real, su.imag, su.real])
+
+    def value_and_gradient(self, w_l, w_r):
+        derivatives = self._derivatives(w_l, w_r)
+        if derivatives is None:
+            return None
+        d, _, _, _, grad_phi = derivatives
+        return d * d, 2.0 * d * grad_phi
 
     def hessian(self, w_l, w_r):
-        products = self._products(w_l, w_r)
-        if products is None:
+        derivatives = self._derivatives(w_l, w_r)
+        if derivatives is None:
             return None
-        c_l, c_r, u = products
+        d, u, c_l, c_r, grad_phi = derivatives
         if self._u2 is None:
             self._u2 = _u_hessian(self.phi_vv)
-        u_vec = _u_gradient(c_l, c_r)
-        d = float(wrap_angle(np.angle(u) - self.target))
-        grad_phi = (u_vec / u).imag
-        hess_phi = (self._u2 / u).imag - (np.outer(u_vec, u_vec) / (u * u)).imag
+        du = _u_gradient(c_l, c_r)
+        hess_phi = (self._u2 / u).imag - (np.outer(du, du) / (u * u)).imag
         return 2.0 * np.outer(grad_phi, grad_phi) + 2.0 * d * hess_phi
-
-
-def _ic_partials(u, g_conj, den, two_p_l, two_p_r, du, dp_l, dp_r):
-    """d|ic_out - ic_in|^2 over one real parameter block.
-
-    dic_out/dtheta = [du - u (dp_l/(2 p_l) + dp_r/(2 p_r))] / den, and
-    dvalue = 2 Re(conj(g) dic_out).
-    """
-    dic = (du - u * (dp_l / two_p_l + dp_r / two_p_r)) / den
-    return 2.0 * (g_conj * dic).real
 
 
 class _CoherenceTerm:
@@ -243,71 +230,58 @@ class _CoherenceTerm:
         self.phi_vv = phi_vv
         self.target = target
         self.eps = _noise_eps(phi_vv)
-        self.zero = np.zeros(phi_vv.shape[0])
+        self.zeros = np.zeros(2 * phi_vv.shape[0])
         self._hessian_parts = None
 
-    def _products(self, w_l, w_r):
-        products = _noise_products(w_l, w_r, self.phi_vv)
-        if products[3] <= self.eps or products[4] <= self.eps:
+    def _derivatives(self, w_l, w_r):
+        """(u, p_l, p_r, du, dp_l, dp_r) over the real parameters, or None
+        past the guard; dp_e is the derivative of the output power p_e."""
+        c_l, c_r, u, p_l, p_r = _noise_products(w_l, w_r, self.phi_vv)
+        if p_l <= self.eps or p_r <= self.eps:
             return None
-        return products
+        zeros = self.zeros
+        dp_l = np.concatenate([2 * c_l.real, 2 * c_l.imag, zeros])
+        dp_r = np.concatenate([zeros, 2 * c_r.real, 2 * c_r.imag])
+        return u, p_l, p_r, _u_gradient(c_l, c_r), dp_l, dp_r
 
     def value_and_gradient(self, w_l, w_r):
-        products = self._products(w_l, w_r)
-        if products is None:
+        derivatives = self._derivatives(w_l, w_r)
+        if derivatives is None:
             return None
-        c_l, c_r, u, p_l, p_r = products
+        u, p_l, p_r, du, dp_l, dp_r = derivatives
         den = np.sqrt(p_l * p_r)
-        ic_out = u / den
-        g = ic_out - self.target
-        value = float(abs(g) ** 2)
-        g_conj = np.conj(g)
-        two_p_l, two_p_r = 2 * p_l, 2 * p_r
-        zero = self.zero
-        # w_l block: du/dRe = c_r, du/dIm = -j c_r; dp_l/dRe = 2 Re c_l, /dIm = 2 Im c_l.
-        # w_r block: du/dRe = conj(c_l), du/dIm = +j conj(c_l); dp_r analogous.
-        c_l_conj = c_l.conj()
-        blocks = (
-            (c_r, 2 * c_l.real, zero),
-            (-1j * c_r, 2 * c_l.imag, zero),
-            (c_l_conj, zero, 2 * c_r.real),
-            (1j * c_l_conj, zero, 2 * c_r.imag),
-        )
-        grad = np.concatenate([
-            _ic_partials(u, g_conj, den, two_p_l, two_p_r, du, dp_l, dp_r)
-            for du, dp_l, dp_r in blocks
-        ])
-        return value, grad
+        g = u / den - self.target
+        # dic_out = [du - u (dp_l/(2 p_l) + dp_r/(2 p_r))] / den, and
+        # dvalue = 2 Re(conj(g) dic_out).
+        dic = (du - u * (dp_l / (2 * p_l) + dp_r / (2 * p_r))) / den
+        return float(abs(g) ** 2), 2.0 * (np.conj(g) * dic).real
 
     def hessian(self, w_l, w_r):
-        products = self._products(w_l, w_r)
-        if products is None:
+        derivatives = self._derivatives(w_l, w_r)
+        if derivatives is None:
             return None
-        c_l, c_r, u, p_l, p_r = products
+        u, p_l, p_r, du, dp_l, dp_r = derivatives
         if self._hessian_parts is None:
-            m = self.zero.size
+            m = self.phi_vv.shape[0]
             quad = 2.0 * _realify(self.phi_vv)
             pl_h = np.zeros((4 * m, 4 * m))
             pl_h[: 2 * m, : 2 * m] = quad
             pr_h = np.zeros((4 * m, 4 * m))
             pr_h[2 * m :, 2 * m :] = quad
-            self._hessian_parts = (np.zeros(2 * m), pl_h, pr_h, _u_hessian(self.phi_vv))
-        zeros, pl_h, pr_h, u2 = self._hessian_parts
-        u_vec = _u_gradient(c_l, c_r)
-        pl_vec = np.concatenate([2 * c_l.real, 2 * c_l.imag, zeros])
-        pr_vec = np.concatenate([zeros, 2 * c_r.real, 2 * c_r.imag])
+            self._hessian_parts = (pl_h, pr_h, _u_hessian(self.phi_vv))
+        pl_h, pr_h, u2 = self._hessian_parts
         s = 1.0 / np.sqrt(p_l * p_r)
-        t_vec = pl_vec / p_l + pr_vec / p_r
+        t_vec = dp_l / p_l + dp_r / p_r
         s_vec = -0.5 * s * t_vec
         s_h = (
             np.outer(s_vec, s_vec) / s
             - 0.5 * s * (
-                pl_h / p_l - np.outer(pl_vec, pl_vec) / (p_l * p_l)
-                + pr_h / p_r - np.outer(pr_vec, pr_vec) / (p_r * p_r)
+                pl_h / p_l - np.outer(dp_l, dp_l) / (p_l * p_l)
+                + pr_h / p_r - np.outer(dp_r, dp_r) / (p_r * p_r)
             )
         )
-        ic_vec = u_vec * s + u * s_vec
-        ic_h = u2 * s + np.outer(u_vec, s_vec) + np.outer(s_vec, u_vec) + u * s_h
+        ic_vec = du * s + u * s_vec
+        ic_h = u2 * s + np.outer(du, s_vec) + np.outer(s_vec, du) + u * s_h
         g = u * s - self.target
         return (
             2.0 * np.outer(ic_vec, ic_vec.conj()).real
@@ -410,21 +384,19 @@ def hess_j_w(phi_yy, m):
     return out
 
 
-def hess_j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None):
+def hess_j_ipd(w_l, w_r, phi_vv, q_l, q_r):
     """Exact Hessian of the phase penalty, or None on a degenerate bin."""
+    ipd_in = input_ipd(phi_vv, q_l, q_r)
     if ipd_in is None:
-        ipd_in = input_ipd(phi_vv, q_l, q_r)
-        if ipd_in is None:
-            return None
+        return None
     return _PhaseTerm(phi_vv, ipd_in).hessian(w_l, w_r)
 
 
-def hess_j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None):
+def hess_j_ic(w_l, w_r, phi_vv, q_l, q_r):
     """Exact Hessian of the coherence penalty, or None on a degenerate bin."""
+    ic_in = input_ic(phi_vv, q_l, q_r)
     if ic_in is None:
-        ic_in = input_ic(phi_vv, q_l, q_r)
-        if ic_in is None:
-            return None
+        return None
     return _CoherenceTerm(phi_vv, ic_in).hessian(w_l, w_r)
 
 
@@ -489,22 +461,21 @@ class BinObjective:
 
 
 def combined_hessian(
-    w_l, w_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz, cue_in=None
+    w_l, w_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz
 ):
     """Exact Hessian of the combined objective (penalty zero where gated)."""
-    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz, cue_in)
+    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
     return objective.hessian_at(w_l, w_r)
 
 
 def combined(
-    w_l, w_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz, cue_in=None
+    w_l, w_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz
 ) -> CostEval:
     """Variant objective for one bin; penalties gate off above the cutoff.
 
-    ``cue_in`` may carry the precomputed input cue (phase for mwf-itd,
-    coherence for mwf-ic).  Bins whose input cue is undefined (e.g. no
-    noise) fall back to the Wiener cost alone.  Optimizer loops build a
-    :class:`BinObjective` once per bin instead.
+    Bins whose input cue is undefined (e.g. no noise) fall back to the
+    Wiener cost alone.  Optimizer loops build a :class:`BinObjective` once
+    per bin instead.
     """
-    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz, cue_in)
+    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
     return objective.evaluate(w_l, w_r)

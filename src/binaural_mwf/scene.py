@@ -379,9 +379,11 @@ def synthesize_scene(
     both sources are steered by filtering the waveforms with the exact
     steering response (or with user impulse responses ``*_ir``, given as
     (M, taps) arrays at the configured rate).  The noise component is scaled
-    so the SNR at the reference microphone of the worst ear (nearest the
-    noise) meets ``target_snr_worst_ear``; pass ``numpy.inf`` to disable the
-    noise entirely.
+    so the SNR at the reference microphone of the worst ear meets
+    ``target_snr_worst_ear``; pass ``numpy.inf`` to disable the noise
+    entirely.  The worst ear is the one nearest a modelled noise source; for
+    frontal noise or a measured ``noise_ir`` it is the ear whose reference
+    microphone receives more noise power.
     """
     speech = np.asarray(speech, dtype=float)
     if speech.ndim != 1:
@@ -427,10 +429,8 @@ def synthesize_scene(
             "scene is unusable: needs at least two active and two silent frames"
         )
 
-    if spec.noise_azimuth > 0:
-        worst_ear = "right"
-    elif spec.noise_azimuth < 0:
-        worst_ear = "left"
+    if noise_ir is None and spec.noise_azimuth != 0:
+        worst_ear = "right" if spec.noise_azimuth > 0 else "left"
     else:
         pv = np.sum(np.abs(v.data) ** 2, axis=(1, 2))
         worst_ear = "right" if pv[geometry.ref_right] >= pv[geometry.ref_left] else "left"

@@ -208,25 +208,3 @@ def cues_to_csv(path, cues: CueEstimate):
                      + f",{int(cues.valid[k])}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def coherence_to_csv(path, phi: CoherenceSet):
-    """One row per bin with flattened re/im entries of each matrix."""
-    m = phi.mic_count
-    names = []
-    for mat_name in ("phi_yy", "phi_vv", "phi_xx"):
-        for i in range(m):
-            for j in range(m):
-                names.append(f"{mat_name}_{i}{j}_re")
-                names.append(f"{mat_name}_{i}{j}_im")
-    lines = ["bin,freq_hz," + ",".join(names)]
-    for k in range(phi.bin_count):
-        vals = []
-        for mat in (phi.phi_yy, phi.phi_vv, phi.phi_xx):
-            for i in range(m):
-                for j in range(m):
-                    vals.append(repr(float(mat[k, i, j].real)))
-                    vals.append(repr(float(mat[k, i, j].imag)))
-        lines.append(f"{k},{float(phi.freqs[k])!r}," + ",".join(vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -16,8 +16,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 
-WINDOW_FAMILIES = ("sqrt_hann", "rect")
-
 # Relative deviation allowed for the constant-overlap-add check.
 _COLA_TOL = 1e-10
 

@@ -63,6 +63,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line", [
         "run.alpha = nan", "run.alpha = inf", "run.calibrate = nan",
+        pytest.param("run.alpha = 1\nrun.cue_cutoff = nan", id="run.cue_cutoff = nan"),
+        pytest.param("run.alpha = 1\nrun.cue_cutoff = -5", id="run.cue_cutoff = -5"),
     ])
     def test_non_finite_weighting_rejected(self, tmp_path, speech_wav, capsys, line):
         out = tmp_path / "out"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from binaural_mwf import InvalidInputError
@@ -9,8 +9,17 @@ from binaural_mwf.costs import (
     CostSpec,
     DEGENERATE_PENALTY,
     FilterPair,
+    _CoherenceTerm,
+    _noise_eps,
+    _noise_products,
+    _PhaseTerm,
+    _realify,
+    _u_gradient,
+    _u_hessian,
     combined,
     combined_hessian,
+    hess_j_ic,
+    hess_j_ipd,
     input_ic,
     input_ipd,
     j_ic,
@@ -21,7 +30,7 @@ from binaural_mwf.costs import (
     unpack_filters,
 )
 from binaural_mwf.scene import steering_vector
-from binaural_mwf.spatial_stats import Selector
+from binaural_mwf.spatial_stats import Selector, wrap_angle
 
 from conftest import random_psd
 
@@ -36,6 +45,19 @@ def random_filters(rng, m):
         rng.standard_normal(m) + 1j * rng.standard_normal(m),
         rng.standard_normal(m) + 1j * rng.standard_normal(m),
     )
+
+
+def low_rank_psd(rng, m, rank):
+    a = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    return a @ a.conj().T
+
+
+def shrink_cross_power(w_l, w_r, phi_vv, factor):
+    """w_r with its component along c_l = Phi w_l scaled by ``factor``, so
+    that u = w_l^H Phi w_r = c_l^H w_r is scaled by ``factor`` too."""
+    c_l = phi_vv @ w_l
+    along = c_l * (np.vdot(c_l, w_r) / np.vdot(c_l, c_l))
+    return w_r - (1.0 - factor) * along
 
 
 def central_diff_gradient(fun, x, step=None):
@@ -286,6 +308,9 @@ class TestCombined:
         for alpha in (np.nan, np.inf):
             with pytest.raises(InvalidInputError):
                 CostSpec("mwf-itd", alpha)
+        for cutoff in (np.nan, np.inf, 0.0, -5.0):
+            with pytest.raises(InvalidInputError):
+                CostSpec("mwf-ic", 1.0, cue_cutoff=cutoff)
 
 
 class TestGradients:
@@ -338,7 +363,7 @@ class TestGradients:
 class TestHessians:
     @pytest.mark.parametrize("which", ["j_w", "j_ipd", "j_ic"])
     def test_analytic_hessian_matches_gradient_differences(self, sel4, which):
-        from binaural_mwf.costs import hess_j_ic, hess_j_ipd, hess_j_w
+        from binaural_mwf.costs import hess_j_w
 
         rng = np.random.default_rng(20)
         for _ in range(20):
@@ -375,6 +400,78 @@ class TestHessians:
             np.testing.assert_allclose(hess, hess.T, atol=1e-12 * scale)
 
 
+class TestPenaltyProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        which=st.sampled_from(["j_ipd", "j_ic"]),
+        case=st.sampled_from(["generic", "rank-one noise", "near collapse"]),
+        ic_out=st.floats(1e-3, 1.0),
+    )
+    def test_hessian_matches_gradient_differences(self, seed, which, case, ic_out):
+        rng = np.random.default_rng(seed)
+        m = 4
+        sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[2])
+        if case == "rank-one noise":
+            phi_vv = low_rank_psd(rng, m, 1)
+        else:
+            phi_vv = random_psd(rng, m)
+        w_l, w_r = random_filters(rng, m)
+        if case == "near collapse":
+            # scale u to about ic_out * sqrt(p_l p_r); p_r moves little, so the
+            # output |IC| lands near ic_out (1.06e-3 to 0.94 over 600 seeds)
+            _, _, u, p_l, p_r = _noise_products(w_l, w_r, phi_vv)
+            w_r = shrink_cross_power(w_l, w_r, phi_vv,
+                                     ic_out * np.sqrt(p_l * p_r) / abs(u))
+        c_l, c_r, u, _, _ = _noise_products(w_l, w_r, phi_vv)
+        if which == "j_ipd":
+            # central differences must not straddle the phase wrap
+            d = wrap_angle(np.angle(u) - input_ipd(phi_vv, sel.q_l, sel.q_r))
+            assume(abs(abs(d) - np.pi) > 1e-3)
+            term, hess_fn = j_ipd, hess_j_ipd
+        else:
+            term, hess_fn = j_ic, hess_j_ic
+        # a step that moves u by a fixed fraction of |u|
+        step = 1e-5 * abs(u) / max(np.linalg.norm(c_l), np.linalg.norm(c_r))
+
+        def grad(x):
+            return term(*unpack_filters(x), phi_vv, sel.q_l, sel.q_r).gradient
+
+        hess = hess_fn(w_l, w_r, phi_vv, sel.q_l, sel.q_r)
+        x0 = pack_filters(w_l, w_r)
+        n = x0.size
+        fd = np.empty((n, n))
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = step
+            fd[:, i] = (grad(x0 + e) - grad(x0 - e)) / (2 * step)
+        fd = 0.5 * (fd + fd.T)
+        scale = np.abs(fd).max()
+        assert np.abs(hess - fd).max() < 1e-6 * scale
+        np.testing.assert_allclose(hess, hess.T, atol=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        rank_one=st.booleans(),
+        modulus=st.floats(-3.0, 3.0),
+        phase=st.floats(-np.pi, np.pi),
+    )
+    def test_values_invariant_under_common_complex_scaling(self, seed, rank_one,
+                                                           modulus, phase):
+        rng = np.random.default_rng(seed)
+        m = 4
+        sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[2])
+        phi_vv = low_rank_psd(rng, m, 1) if rank_one else random_psd(rng, m)
+        w_l, w_r = random_filters(rng, m)
+        c = 10.0**modulus * np.exp(1j * phase)
+        for term in (j_ipd, j_ic):
+            base = term(w_l, w_r, phi_vv, sel.q_l, sel.q_r)
+            scaled = term(c * w_l, c * w_r, phi_vv, sel.q_l, sel.q_r)
+            assert not base.degenerate and not scaled.degenerate
+            assert scaled.value == pytest.approx(base.value, rel=1e-9, abs=1e-12)
+
+
 class TestPacking:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31))
@@ -388,11 +485,6 @@ class TestPacking:
 
 class TestBinObjective:
     """The per-bin objective is bitwise equal to the one-shot cost calls."""
-
-    @staticmethod
-    def low_rank_psd(rng, m, rank):
-        a = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-        return a @ a.conj().T
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -411,7 +503,7 @@ class TestBinObjective:
         if case == "zero noise":
             phi_vv = np.zeros((m, m), dtype=complex)
         elif case == "rank-one noise":
-            phi_vv = self.low_rank_psd(rng, m, 1)
+            phi_vv = low_rank_psd(rng, m, 1)
         else:
             phi_vv = random_psd(rng, m)
         phi_yy = phi_xx + phi_vv
@@ -425,8 +517,7 @@ class TestBinObjective:
         for _ in range(3):
             w_l, w_r = random_filters(rng, m)
             if case == "collapsed u":
-                c_l = phi_vv @ w_l  # u = c_l^H w_r, so project c_l out of w_r
-                w_r = w_r - c_l * (np.vdot(c_l, w_r) / np.vdot(c_l, c_l))
+                w_r = shrink_cross_power(w_l, w_r, phi_vv, 0.0)
             elif case == "zero filters":
                 w_l = np.zeros(m, dtype=complex)
             base = j_w(w_l, w_r, phi_xx, phi_yy, sel.q_l, sel.q_r)
@@ -465,3 +556,171 @@ class TestBinObjective:
         zero = np.zeros((4, 4), dtype=complex)
         assert penalty_cue(CostSpec("mwf-ic", 1.0), zero, sel4.q_l, sel4.q_r,
                            500.0) is None
+
+
+class _ParentPhaseTerm:
+    """Frozen copy of the phase term before its derivatives were shared:
+    a written-out gradient and a Hessian that forms Im((du/dx)/u) again."""
+
+    def __init__(self, phi_vv, target):
+        self.phi_vv = phi_vv
+        self.target = target
+        self.eps = _noise_eps(phi_vv)
+
+    def _products(self, w_l, w_r):
+        c_l, c_r, u, p_l, p_r = _noise_products(w_l, w_r, self.phi_vv)
+        eps = self.eps
+        if p_l <= eps or p_r <= eps or abs(u) <= eps:
+            return None
+        return c_l, c_r, u
+
+    def value_and_gradient(self, w_l, w_r):
+        products = self._products(w_l, w_r)
+        if products is None:
+            return None
+        c_l, c_r, u = products
+        d = float(wrap_angle(np.angle(u) - self.target))
+        ru = c_r / u
+        su = c_l.conj() / u
+        return d * d, 2.0 * d * np.concatenate([ru.imag, -ru.real, su.imag, su.real])
+
+    def hessian(self, w_l, w_r):
+        products = self._products(w_l, w_r)
+        if products is None:
+            return None
+        c_l, c_r, u = products
+        u2 = _u_hessian(self.phi_vv)
+        u_vec = _u_gradient(c_l, c_r)
+        d = float(wrap_angle(np.angle(u) - self.target))
+        grad_phi = (u_vec / u).imag
+        hess_phi = (u2 / u).imag - (np.outer(u_vec, u_vec) / (u * u)).imag
+        return 2.0 * np.outer(grad_phi, grad_phi) + 2.0 * d * hess_phi
+
+
+def _parent_ic_partials(u, g_conj, den, two_p_l, two_p_r, du, dp_l, dp_r):
+    dic = (du - u * (dp_l / two_p_l + dp_r / two_p_r)) / den
+    return 2.0 * (g_conj * dic).real
+
+
+class _ParentCoherenceTerm:
+    """Frozen copy of the coherence term before its derivatives were shared:
+    a gradient built from four per-block partials, and a Hessian that
+    builds the derivative vectors again."""
+
+    def __init__(self, phi_vv, target):
+        self.phi_vv = phi_vv
+        self.target = target
+        self.eps = _noise_eps(phi_vv)
+        self.zero = np.zeros(phi_vv.shape[0])
+
+    def _products(self, w_l, w_r):
+        products = _noise_products(w_l, w_r, self.phi_vv)
+        if products[3] <= self.eps or products[4] <= self.eps:
+            return None
+        return products
+
+    def value_and_gradient(self, w_l, w_r):
+        products = self._products(w_l, w_r)
+        if products is None:
+            return None
+        c_l, c_r, u, p_l, p_r = products
+        den = np.sqrt(p_l * p_r)
+        ic_out = u / den
+        g = ic_out - self.target
+        value = float(abs(g) ** 2)
+        g_conj = np.conj(g)
+        two_p_l, two_p_r = 2 * p_l, 2 * p_r
+        zero = self.zero
+        c_l_conj = c_l.conj()
+        blocks = (
+            (c_r, 2 * c_l.real, zero),
+            (-1j * c_r, 2 * c_l.imag, zero),
+            (c_l_conj, zero, 2 * c_r.real),
+            (1j * c_l_conj, zero, 2 * c_r.imag),
+        )
+        grad = np.concatenate([
+            _parent_ic_partials(u, g_conj, den, two_p_l, two_p_r, du, dp_l, dp_r)
+            for du, dp_l, dp_r in blocks
+        ])
+        return value, grad
+
+    def hessian(self, w_l, w_r):
+        products = self._products(w_l, w_r)
+        if products is None:
+            return None
+        c_l, c_r, u, p_l, p_r = products
+        m = self.zero.size
+        quad = 2.0 * _realify(self.phi_vv)
+        pl_h = np.zeros((4 * m, 4 * m))
+        pl_h[: 2 * m, : 2 * m] = quad
+        pr_h = np.zeros((4 * m, 4 * m))
+        pr_h[2 * m :, 2 * m :] = quad
+        zeros, u2 = np.zeros(2 * m), _u_hessian(self.phi_vv)
+        u_vec = _u_gradient(c_l, c_r)
+        pl_vec = np.concatenate([2 * c_l.real, 2 * c_l.imag, zeros])
+        pr_vec = np.concatenate([zeros, 2 * c_r.real, 2 * c_r.imag])
+        s = 1.0 / np.sqrt(p_l * p_r)
+        t_vec = pl_vec / p_l + pr_vec / p_r
+        s_vec = -0.5 * s * t_vec
+        s_h = (
+            np.outer(s_vec, s_vec) / s
+            - 0.5 * s * (
+                pl_h / p_l - np.outer(pl_vec, pl_vec) / (p_l * p_l)
+                + pr_h / p_r - np.outer(pr_vec, pr_vec) / (p_r * p_r)
+            )
+        )
+        ic_vec = u_vec * s + u * s_vec
+        ic_h = u2 * s + np.outer(u_vec, s_vec) + np.outer(s_vec, u_vec) + u * s_h
+        g = u * s - self.target
+        return (
+            2.0 * np.outer(ic_vec, ic_vec.conj()).real
+            + 2.0 * (np.conj(g) * ic_h).real
+        )
+
+
+def assert_bitwise_equal(got, want):
+    if want is None:
+        assert got is None
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestTermsMatchFrozenCopy:
+    """The penalty terms run the same floating-point operations, in the same
+    order, as the frozen per-block copies above, so every result is bitwise
+    equal, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        m=st.integers(2, 8),
+        rank=st.integers(1, 8),
+        case=st.sampled_from(["generic", "rank-one noise", "collapsed u",
+                              "zero filter"]),
+        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+    )
+    def test_value_gradient_hessian_bitwise(self, seed, m, rank, case, scale):
+        rng = np.random.default_rng(seed)
+        rank = 1 if case == "rank-one noise" else min(rank, m)
+        phi_vv = low_rank_psd(rng, m, rank)
+        w_l, w_r = random_filters(rng, m)
+        if case == "collapsed u":
+            w_r = shrink_cross_power(w_l, w_r, phi_vv, 0.0)
+        elif case == "zero filter":
+            w_l = np.zeros(m, dtype=complex)
+        w_l, w_r = scale * w_l, scale * w_r
+        phase_target = float(rng.uniform(-np.pi, np.pi))
+        ic_target = complex(rng.uniform(0, 1) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+        for new, old in ((_PhaseTerm(phi_vv, phase_target),
+                          _ParentPhaseTerm(phi_vv, phase_target)),
+                         (_CoherenceTerm(phi_vv, ic_target),
+                          _ParentCoherenceTerm(phi_vv, ic_target))):
+            got = new.value_and_gradient(w_l, w_r)
+            want = old.value_and_gradient(w_l, w_r)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert_bitwise_equal(got[0], want[0])
+                assert_bitwise_equal(got[1], want[1])
+            assert_bitwise_equal(new.hessian(w_l, w_r), old.hessian(w_l, w_r))

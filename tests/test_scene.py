@@ -224,6 +224,21 @@ class TestSceneSynthesis:
         assert dev.max() < 0.1
         assert dev.mean() < 0.01
 
+    def test_measured_noise_ir_sets_worst_ear(self, speech, geometry, cfg):
+        from binaural_mwf.metrics import input_snr_db
+
+        # the IR puts the noise 12 dB louder on the left, while the default
+        # noise_azimuth (+30) would name the right ear
+        noise_ir = np.zeros((geometry.total_mics, 8))
+        noise_ir[:, 1] = 1.0
+        noise_ir[: geometry.mics_per_ear, 1] = 10.0 ** (12.0 / 20.0)
+        sc = synthesize_scene(speech, SceneSpec(seed=11), geometry, cfg,
+                              noise_ir=noise_ir)
+        assert sc.worst_ear == "left"
+        snr_l, snr_r = input_snr_db(sc, Selector.from_geometry(geometry))
+        assert abs(snr_l) < 0.1
+        assert snr_r == pytest.approx(12.0, abs=0.5)
+
 
 class TestSpecValidation:
     def test_bad_distance(self):

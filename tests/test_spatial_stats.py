@@ -7,10 +7,8 @@ from binaural_mwf import InvalidInputError
 from binaural_mwf.costs import FilterPair
 from binaural_mwf.scene import VadLabels, steered_tensor, steering_vector
 from binaural_mwf.spatial_stats import (
-    CoherenceSet,
     Selector,
     cues_to_csv,
-    coherence_to_csv,
     estimate_coherence,
     input_cues,
     output_cues,
@@ -258,20 +256,3 @@ class TestSerialization:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("bin,freq_hz,ipd_rad,itd_s")
         assert len(lines) == 1 + cfg.bin_count
-
-    def test_coherence_csv(self, tmp_path, cfg):
-        rng = np.random.default_rng(10)
-        mats = np.stack([random_psd(rng, 2) for _ in range(cfg.bin_count)])
-        phi = CoherenceSet(
-            phi_yy=mats,
-            phi_vv=mats,
-            phi_xx=mats,
-            freqs=cfg.freqs,
-            frames_speech=4,
-            frames_noise=4,
-        )
-        path = tmp_path / "phi.csv"
-        coherence_to_csv(path, phi)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 1 + cfg.bin_count
-        assert "phi_vv_01_re" in lines[0]
