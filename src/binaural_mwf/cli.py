@@ -10,7 +10,8 @@ Subcommands:
 
 Runs are configured by a flat key-value file with dotted section prefixes
 (``scene.noise_azimuth = 60``); every key is validated against the schema
-below and unknown or ill-typed keys abort with exit code 1 naming the key.
+below, and unknown or ill-typed keys and invalid ``run.*`` weighting values
+abort with exit code 1 naming the key, before any audio is read.
 All randomness derives from one seed (``run.seed``, overridable with
 ``--seed``), so identical configurations produce byte-identical artifacts.
 
@@ -175,6 +176,18 @@ def build_run_config(raw, seed_override=None, out_override=None) -> RunConfig:
         solver_cfg = solver.SolverConfig(**_collect(raw, "solver"))
     except InvalidInputError as exc:
         raise ConfigError("(scene/stft/solver)", str(exc)) from exc
+    for key, rule, values in (
+        ("run.alpha", lambda v: CostSpec(alpha=v), [run_kwargs.get("alpha")]),
+        ("run.alphas", lambda v: CostSpec(alpha=v), run_kwargs.get("alphas", [])),
+        ("run.cue_cutoff", lambda v: CostSpec(cue_cutoff=v), [run_kwargs.get("cue_cutoff")]),
+        ("run.calibrate", solver.check_loss_fraction, [run_kwargs.get("calibrate")]),
+    ):
+        try:
+            for value in values:
+                if value is not None:
+                    rule(value)
+        except InvalidInputError as exc:
+            raise ConfigError(key, str(exc)) from exc
     for label, candidate in (
         ("scene.speech_wav", speech_wav),
         ("scene.speech_ir_wav", speech_ir),
@@ -245,13 +258,14 @@ def _variant_alpha(cfg: RunConfig, variant, scene, selector, phi):
         if cal.warning:
             print(f"warning: {variant}: {cal.warning}", file=sys.stderr)
         return cal.alpha, cal
-    if cfg.alpha is None:
-        raise ConfigError("run.alpha", f"required for variant {variant} "
-                          "(or set run.calibrate)")
     return cfg.alpha, None
 
 
 def cmd_process(cfg: RunConfig):
+    penalized = [v for v in cfg.variants if v != "mwf"]
+    if penalized and cfg.alpha is None and cfg.calibrate is None:
+        raise ConfigError("run.alpha", f"required for variant {penalized[0]} "
+                          "(or set run.calibrate)")
     scene, selector, phi = _prepare(cfg)
 
     results = {}

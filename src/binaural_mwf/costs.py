@@ -319,20 +319,17 @@ def input_ic(phi_vv, q_l, q_r):
     return num / np.sqrt(p_l * p_r)
 
 
-def penalty_cue(spec: CostSpec, phi_vv, q_l, q_r, freq_hz, cue_in=None):
+def penalty_cue(spec: CostSpec, phi_vv, q_l, q_r, freq_hz):
     """The input cue a bin's penalty pulls toward, or None if it is unpenalized.
 
     A bin is penalized exactly when the variant is mwf-itd or mwf-ic,
     alpha > 0, 0 < f <= ``cue_cutoff`` and the input cue (phase for mwf-itd,
-    coherence for mwf-ic) is defined.  ``cue_in`` may carry that cue
-    precomputed.
+    coherence for mwf-ic) is defined.
     """
     if spec.variant == "mwf" or not spec.alpha > 0.0:
         return None
     if freq_hz <= 0.0 or freq_hz > spec.cue_cutoff:
         return None
-    if cue_in is not None:
-        return cue_in
     if spec.variant == "mwf-itd":
         return input_ipd(phi_vv, q_l, q_r)
     return input_ic(phi_vv, q_l, q_r)
@@ -411,12 +408,11 @@ class BinObjective:
     ``combined_hessian`` call, so the results are bitwise equal.
     """
 
-    def __init__(self, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz,
-                 cue_in=None):
+    def __init__(self, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz):
         self.size = 4 * q_l.size
         self.alpha = spec.alpha
         self.wiener = _WienerTerm(phi_xx, phi_yy, q_l, q_r)
-        cue = penalty_cue(spec, phi_vv, q_l, q_r, freq_hz, cue_in)
+        cue = penalty_cue(spec, phi_vv, q_l, q_r, freq_hz)
         if cue is None:
             self.penalty = None
         elif spec.variant == "mwf-itd":

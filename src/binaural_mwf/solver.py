@@ -109,53 +109,44 @@ def _wolfe_line_search(fun, x, p, f0, g0, max_evals=30):
     alpha_prev, f_prev, d_prev = 0.0, f0, d0
     alpha = 1.0
     evals = 0
-    lo = hi = None
-    f_lo = d_lo = f_hi_known = None
     while evals < max_evals:
         f, g, d = phi(alpha)
         evals += 1
         if f > f0 + _WOLFE_C1 * alpha * d0 or (evals > 1 and f >= f_prev):
-            lo, f_lo, d_lo, hi = alpha_prev, f_prev, d_prev, alpha
-            f_hi_known = f
+            lo, f_lo, d_lo, hi, f_hi = alpha_prev, f_prev, d_prev, alpha, f
             break
         if abs(d) <= -_WOLFE_C2 * d0:
             return alpha, f, g
         if d >= 0:
-            lo, f_lo, d_lo, hi = alpha, f, d, alpha_prev
-            f_hi_known = f_prev
+            lo, f_lo, d_lo, hi, f_hi = alpha, f, d, alpha_prev, f_prev
             break
         alpha_prev, f_prev, d_prev = alpha, f, d
         alpha *= 2.0
     else:
         return None
 
-    # Zoom: shrink [lo, hi] keeping lo the best sufficient-decrease point.
+    # Zoom: shrink the bracket keeping lo the best sufficient-decrease point.
     best = None
     while evals < max_evals:
         width = hi - lo
         # Quadratic interpolation from (f_lo, d_lo) and f(hi), safeguarded
         # to the central 80% of the bracket; fall back to bisection.
-        alpha = None
-        if f_hi_known is not None and d_lo is not None:
-            denom = 2.0 * (f_hi_known - f_lo - d_lo * width)
-            if abs(denom) > 1e-300:
-                cand = lo - d_lo * width * width / denom
-                if lo + 0.1 * abs(width) <= cand <= hi - 0.1 * abs(width) or (
-                    hi < lo and hi + 0.1 * abs(width) <= cand <= lo - 0.1 * abs(width)
-                ):
-                    alpha = cand
-        if alpha is None:
-            alpha = 0.5 * (lo + hi)
+        alpha = 0.5 * (lo + hi)
+        denom = 2.0 * (f_hi - f_lo - d_lo * width)
+        if abs(denom) > 1e-300:
+            cand = lo - d_lo * width * width / denom
+            if min(lo, hi) + 0.1 * abs(width) <= cand <= max(lo, hi) - 0.1 * abs(width):
+                alpha = cand
         f, g, d = phi(alpha)
         evals += 1
         if f > f0 + _WOLFE_C1 * alpha * d0 or f >= f_lo:
-            hi, f_hi_known = alpha, f
+            hi, f_hi = alpha, f
         else:
             if abs(d) <= -_WOLFE_C2 * d0:
                 return alpha, f, g
             best = (alpha, f, g)
             if d * (hi - lo) >= 0:
-                hi, f_hi_known = lo, f_lo
+                hi, f_hi = lo, f_lo
             lo, f_lo, d_lo = alpha, f, d
         if abs(hi - lo) < 1e-16 * max(1.0, abs(lo)):
             break
@@ -227,7 +218,7 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
     return BfgsResult(x, f, g, iterations, _converged(f, g, cfg))
 
 
-def _newton_polish(fun, hess_fn, x, f, g, cfg: SolverConfig, max_steps=30):
+def _newton_polish(objective, x, f, g, cfg: SolverConfig, max_steps=30):
     """Drive the gradient norm down with damped Newton steps.
 
     Line-search descent stalls once cost differences reach the float noise
@@ -241,8 +232,8 @@ def _newton_polish(fun, hess_fn, x, f, g, cfg: SolverConfig, max_steps=30):
         if _converged(f, g, cfg):
             best = (x, f, g)
             break
-        hess = hess_fn(x)
-        if hess is None or not np.all(np.isfinite(hess)):
+        hess = objective.hessian(x)
+        if not np.all(np.isfinite(hess)):
             break
         vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
         floor = max(np.max(np.abs(vals)), 1e-30) * 1e-12
@@ -252,7 +243,7 @@ def _newton_polish(fun, hess_fn, x, f, g, cfg: SolverConfig, max_steps=30):
         candidate = None
         for damp in (1.0, 0.5, 0.25, 0.1, 0.03):
             x_t = x + damp * step
-            f_t, g_t = fun(x_t)
+            f_t, g_t = objective(x_t)
             # The float-noise valley of f does not bottom out exactly at the
             # stationary point; allow cost ties at the 1e-9 relative level.
             if not np.isfinite(f_t) or f_t > f + 1e-9 * max(1.0, abs(f)):
@@ -274,7 +265,7 @@ def _newton_polish(fun, hess_fn, x, f, g, cfg: SolverConfig, max_steps=30):
 
 def _inverse_spd(hess):
     """Inverse of a symmetric matrix with absolute-eigenvalue flooring."""
-    if hess is None or not np.all(np.isfinite(hess)):
+    if not np.all(np.isfinite(hess)):
         return None
     vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
     top = float(np.max(np.abs(vals)))
@@ -324,33 +315,26 @@ def mwf_closed_form(phi: CoherenceSet, selector: Selector):
 
 
 def solve_bin(spec: CostSpec, phi: CoherenceSet, selector: Selector, k,
-              cfg: SolverConfig, w0_l=None, w0_r=None):
-    """Optimize one bin; returns (w_l, w_r, diagnostics dict).
+              cfg: SolverConfig, w0_l, w0_r):
+    """Optimize one bin from its closed form; returns (w_l, w_r, diagnostics).
 
-    For the plain Wiener variant (or gated-off bins) this is the closed
-    form; otherwise BFGS from the closed-form initializer.  A non-finite
-    cost flags the bin and returns the initializer.
+    ``(w0_l, w0_r)`` is the bin's closed-form solution (``closed_form_bin``),
+    the alpha -> 0 optimum.  A bin without a penalty (the plain Wiener
+    variant, or a gated-off bin) keeps it; otherwise BFGS starts from it.  A
+    non-finite cost flags the bin and returns the start.
     """
     freq = float(phi.freqs[k])
     phi_xx, phi_yy, phi_vv = phi.phi_xx[k], phi.phi_yy[k], phi.phi_vv[k]
     q_l, q_r = selector.q_l, selector.q_r
 
-    if w0_l is None or w0_r is None:
-        w0_l, w0_r, init_flag = closed_form_bin(phi_yy, phi_xx, selector)
-        if init_flag:
-            ev = combined(w0_l, w0_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq)
-            return w0_l, w0_r, {"cost": ev.value, "iterations": 0,
-                                "converged": False, "flagged": True}
-
-    cue_in = penalty_cue(spec, phi_vv, q_l, q_r, freq)
-    if cue_in is None:
+    if penalty_cue(spec, phi_vv, q_l, q_r, freq) is None:
         ev = combined(w0_l, w0_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq)
         return w0_l, w0_r, {"cost": ev.value, "iterations": 0,
                             "converged": True, "flagged": False}
 
     # invariants of the bin are built once; each call repeats combined's
     # floating-point operations exactly
-    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq, cue_in=cue_in)
+    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq)
 
     starts = [pack_filters(w0_l, w0_r)]
     if spec.variant == "mwf-itd":
@@ -359,7 +343,7 @@ def solve_bin(spec: CostSpec, phi: CoherenceSet, selector: Selector, k,
         # better one at large weights
         u0 = complex(w0_l.conj() @ phi_vv @ w0_r)
         if abs(u0) > 0:
-            delta = float(np.angle(np.exp(1j * (cue_in - np.angle(u0)))))
+            delta = float(np.angle(np.exp(1j * (objective.penalty.target - np.angle(u0)))))
             starts.append(pack_filters(w0_l, w0_r * np.exp(1j * delta)))
 
     f0, _ = objective(starts[0])
@@ -374,7 +358,7 @@ def solve_bin(spec: CostSpec, phi: CoherenceSet, selector: Selector, k,
         x_fin, f_fin, g_fin, converged = res.x, res.value, res.gradient, res.converged
         if not converged and np.isfinite(f_fin):
             x_fin, f_fin, g_fin, converged = _newton_polish(
-                objective, objective.hessian, x_fin, f_fin, g_fin, cfg
+                objective, x_fin, f_fin, g_fin, cfg
             )
         if not np.isfinite(f_fin):
             continue
@@ -403,8 +387,7 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
         if flagged[k]:
             converged[k] = False
             continue
-        wl, wr, diag = solve_bin(spec, phi, selector, k, cfg,
-                                 w0_l=init.w_l[k], w0_r=init.w_r[k])
+        wl, wr, diag = solve_bin(spec, phi, selector, k, cfg, init.w_l[k], init.w_r[k])
         w_l[k], w_r[k] = wl, wr
         cost[k] = diag["cost"]
         iterations[k] = diag["iterations"]
@@ -446,6 +429,14 @@ def _probe(variant_spec, phi, selector, scene, solver_cfg, alpha):
     return snr, result, report
 
 
+def check_loss_fraction(loss_fraction):
+    """Reject a worst-ear SNR loss fraction that is not finite and >= 0."""
+    if not np.isfinite(loss_fraction):
+        raise InvalidInputError("loss_fraction must be finite")
+    if loss_fraction < 0:
+        raise InvalidInputError("loss_fraction must be non-negative")
+
+
 def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
                     solver_cfg: SolverConfig = SolverConfig(), loss_fraction=0.15,
                     grid_lo=1e-3, grid_hi=1e5, grid_points=33, refinements=3):
@@ -454,27 +445,18 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
     Feasibility means snr(alpha) >= (1 - loss_fraction) * snr(mwf), both in
     dB at the ear nearest the noise.  The log grid is searched by bisection
     (the SNR is monotone in alpha up to solver jitter), then the bracket is
-    refined with ``refinements`` log-space bisections.
+    refined with ``refinements`` log-space bisections.  If the lowest grid
+    point is infeasible, arithmetic bisections refine [0, grid_lo] instead:
+    alpha = 0 is the reference solve, which loses nothing, so it is feasible.
 
-    Every search below only ever raises its feasible end, so the returned
-    alpha is the largest feasible one probed, or 0.  Only that probe's solve
-    and report are kept, and they are returned with the result.
+    Every probe lies above the largest feasible alpha so far, so one record,
+    the alpha = 0 reference at first, keeps the latest feasible probe; its
+    alpha, SNR, solve and report are returned, so callers need not re-solve.
     """
     if spec.variant == "mwf":
         raise InvalidInputError("calibration applies to penalized variants only")
-    if not np.isfinite(loss_fraction):
-        raise InvalidInputError("loss_fraction must be finite")
-    if loss_fraction < 0:
-        raise InvalidInputError("loss_fraction must be non-negative")
+    check_loss_fraction(loss_fraction)
     snr_mwf, *reference = _probe(spec, phi, selector, scene, solver_cfg, 0.0)
-    kept = {0.0: reference}  # largest feasible alpha probed -> (solve, report)
-
-    def result(alpha, snr, warning=None):
-        return CalibrationResult(alpha=alpha, achieved_loss=1.0 - snr / snr_mwf,
-                                 snr_mwf_db=snr_mwf, snr_db=snr,
-                                 solve=kept[alpha][0], report=kept[alpha][1],
-                                 warning=warning)
-
     if loss_fraction == 0.0:
         return CalibrationResult(alpha=0.0, achieved_loss=0.0,
                                  snr_mwf_db=snr_mwf, snr_db=snr_mwf,
@@ -483,34 +465,34 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
         raise InvalidInputError("worst-ear reference SNR is not positive; "
                                 "cannot express a fractional loss")
     floor = (1.0 - loss_fraction) * snr_mwf
-
-    grid = np.geomspace(grid_lo, grid_hi, grid_points)
-    snr_cache = {}
+    best = [0.0, snr_mwf, *reference]  # largest feasible alpha probed, its outcome
 
     def feasible(alpha):
-        if alpha not in snr_cache:
-            snr, *solved = _probe(spec, phi, selector, scene, solver_cfg, alpha)
-            snr_cache[alpha] = snr
-            if snr >= floor and alpha > max(kept):
-                kept.clear()
-                kept[alpha] = solved
-        return snr_cache[alpha] >= floor
+        snr, *solved = _probe(spec, phi, selector, scene, solver_cfg, alpha)
+        if snr >= floor:
+            best[:] = [alpha, snr, *solved]
+        return snr >= floor
 
-    if feasible(grid[-1]):
-        alpha = float(grid[-1])
-        return result(alpha, snr_cache[alpha],
-                      "grid exhausted: constraint satisfied at the upper bound")
-    if not feasible(grid[0]):
-        # Penalty already too strong at the lowest grid point: refine toward 0.
-        lo, hi = 0.0, float(grid[0])
+    def refine(lo, hi, midpoint):
         for _ in range(refinements):
-            mid = 0.5 * (lo + hi)
-            if mid == 0.0 or feasible(mid):
+            mid = midpoint(lo, hi)
+            if feasible(mid):
                 lo = mid
             else:
                 hi = mid
-        return result(lo, snr_cache.get(lo, snr_mwf),
-                      "penalty infeasible at the lowest grid point")
+
+    def result(warning=None):
+        alpha, snr, solve, report = best
+        return CalibrationResult(alpha=float(alpha), achieved_loss=1.0 - snr / snr_mwf,
+                                 snr_mwf_db=snr_mwf, snr_db=snr, solve=solve,
+                                 report=report, warning=warning)
+
+    grid = np.geomspace(grid_lo, grid_hi, grid_points)
+    if feasible(grid[-1]):
+        return result("grid exhausted: constraint satisfied at the upper bound")
+    if not feasible(grid[0]):
+        refine(0.0, float(grid[0]), lambda lo, hi: 0.5 * (lo + hi))
+        return result("penalty infeasible at the lowest grid point")
 
     # Binary search for the feasibility boundary on the grid.
     lo_i, hi_i = 0, grid_points - 1
@@ -520,14 +502,8 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
             lo_i = mid
         else:
             hi_i = mid
-    lo, hi = float(grid[lo_i]), float(grid[hi_i])
-    for _ in range(refinements):
-        mid = float(np.sqrt(lo * hi))
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return result(lo, snr_cache[lo])
+    refine(float(grid[lo_i]), float(grid[hi_i]), lambda lo, hi: float(np.sqrt(lo * hi)))
+    return result()
 
 
 SWEEP_COLUMNS = ("alpha", "snr_l_db", "snr_r_db", "disnr_l_db", "disnr_r_db",
@@ -546,9 +522,7 @@ def alpha_sweep(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
         raise InvalidInputError("alpha list must not be empty")
     rows = []
     for alpha in alphas:
-        result = solve_all_bins(spec.with_alpha(float(alpha)), phi, selector, solver_cfg)
-        report = metrics.evaluate_filters(result.filters, scene, selector,
-                                          cue_cutoff=spec.cue_cutoff)
+        _, _, report = _probe(spec, phi, selector, scene, solver_cfg, float(alpha))
         rows.append({
             "alpha": float(alpha),
             "snr_l_db": report.snr_l,

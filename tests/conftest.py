@@ -48,6 +48,26 @@ def random_psd(rng, m, scale=1.0):
     return scale * mat
 
 
+def random_filters(rng, m):
+    return (
+        rng.standard_normal(m) + 1j * rng.standard_normal(m),
+        rng.standard_normal(m) + 1j * rng.standard_normal(m),
+    )
+
+
+def low_rank_psd(rng, m, rank):
+    a = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    return a @ a.conj().T
+
+
+def shrink_cross_power(w_l, w_r, phi_vv, factor):
+    """w_r with its component along c_l = Phi w_l scaled by ``factor``, so
+    that u = w_l^H Phi w_r = c_l^H w_r is scaled by ``factor`` too."""
+    c_l = phi_vv @ w_l
+    along = c_l * (np.vdot(c_l, w_r) / np.vdot(c_l, c_l))
+    return w_r - (1.0 - factor) * along
+
+
 def random_coherence_set(rng, m, bins, freqs):
     """Consistent CoherenceSet with phi_yy = phi_xx + phi_vv."""
     phi_xx = np.stack([random_psd(rng, m) for _ in range(bins)])

@@ -1,10 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from binaural_mwf import cli, scene, wavio
+from binaural_mwf.solver import SolverConfig
 from binaural_mwf.stft import StftConfig
+
+EXAMPLE_CONF = Path(__file__).resolve().parents[1] / "configs" / "example.conf"
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +20,27 @@ def speech_wav(tmp_path_factory):
         path, scene.synthetic_speech(2.5, cfg.sample_rate, seed=7), cfg.sample_rate
     )
     return path
+
+
+@pytest.fixture
+def no_scene(monkeypatch):
+    """Fail any run that reaches scene synthesis."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("scene synthesized before the config was checked")
+
+    monkeypatch.setattr(cli, "synthesize_scene", fail)
+
+
+def assert_rejected(tmp_path, speech_wav, capsys, command, extra, key):
+    """``command`` exits 1 naming ``key`` and writes nothing; returns stderr."""
+    out = tmp_path / "out"
+    conf = write_config(tmp_path / "c.conf", speech_wav, out, extra=extra)
+    assert cli.main([command, "--config", str(conf)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
+    assert not out.exists()
+    return err
 
 
 def write_config(path, speech_wav, out_dir, extra=""):
@@ -54,26 +80,41 @@ class TestConfigParsing:
         assert rc == cli.EXIT_CONFIG
         assert "stft.fft_size" in capsys.readouterr().err
 
-    def test_penalized_variant_needs_alpha(self, tmp_path, speech_wav, capsys):
-        conf = write_config(tmp_path / "c.conf", speech_wav, tmp_path / "out",
-                            extra="run.variants = mwf-ic")
-        rc = cli.main(["process", "--config", str(conf)])
-        assert rc == cli.EXIT_CONFIG
-        assert "run.alpha" in capsys.readouterr().err
+    def test_penalized_variant_needs_alpha(self, tmp_path, speech_wav, capsys,
+                                           no_scene):
+        assert_rejected(tmp_path, speech_wav, capsys, "process",
+                        "run.variants = mwf, mwf-itd", "run.alpha")
 
-    @pytest.mark.parametrize("line", [
-        "run.alpha = nan", "run.alpha = inf", "run.calibrate = nan",
-        pytest.param("run.alpha = 1\nrun.cue_cutoff = nan", id="run.cue_cutoff = nan"),
-        pytest.param("run.alpha = 1\nrun.cue_cutoff = -5", id="run.cue_cutoff = -5"),
+    # every weighting value is checked before the scene is synthesized
+    @pytest.mark.parametrize("command, line, key", [
+        pytest.param("process", "run.alpha = nan", "run.alpha", id="run.alpha = nan"),
+        pytest.param("process", "run.alpha = inf", "run.alpha", id="run.alpha = inf"),
+        pytest.param("process", "run.calibrate = nan", "run.calibrate",
+                     id="run.calibrate = nan"),
+        pytest.param("process", "run.alpha = 1\nrun.cue_cutoff = nan", "run.cue_cutoff",
+                     id="run.cue_cutoff = nan"),
+        pytest.param("process", "run.alpha = 1\nrun.cue_cutoff = -5", "run.cue_cutoff",
+                     id="run.cue_cutoff = -5"),
+        pytest.param("sweep", "run.alphas = 1, nan", "run.alphas",
+                     id="sweep run.alphas = 1, nan"),
     ])
-    def test_non_finite_weighting_rejected(self, tmp_path, speech_wav, capsys, line):
-        out = tmp_path / "out"
-        conf = write_config(tmp_path / "c.conf", speech_wav, out,
-                            extra=f"run.variants = mwf-itd, mwf-ic\n{line}")
-        rc = cli.main(["process", "--config", str(conf)])
-        assert rc == cli.EXIT_CONFIG
-        assert "must be finite" in capsys.readouterr().err
-        assert not (out / "metrics.json").exists()
+    def test_non_finite_weighting_rejected(self, tmp_path, speech_wav, capsys,
+                                           no_scene, command, line, key):
+        err = assert_rejected(tmp_path, speech_wav, capsys, command,
+                              f"run.variants = mwf-itd, mwf-ic\n{line}", key)
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("command, line, key", [
+        pytest.param("process", "run.alpha = -1", "run.alpha", id="run.alpha = -1"),
+        pytest.param("sweep", "run.alphas = 1, -1", "run.alphas",
+                     id="sweep run.alphas = 1, -1"),
+        pytest.param("calibrate", "run.cue_cutoff = -5", "run.cue_cutoff",
+                     id="calibrate run.cue_cutoff = -5"),
+    ])
+    def test_negative_weighting_rejected(self, tmp_path, speech_wav, capsys,
+                                         no_scene, command, line, key):
+        assert_rejected(tmp_path, speech_wav, capsys, command,
+                        f"run.variants = mwf-itd, mwf-ic\n{line}", key)
 
     def test_noise_ir_channel_count_checked(self, tmp_path, speech_wav, capsys):
         ir_wav = tmp_path / "noise_ir.wav"
@@ -92,6 +133,21 @@ class TestConfigParsing:
         rc = cli.main(["process", "--config", str(conf)])
         assert rc == cli.EXIT_CONFIG
         assert "run.seed" in capsys.readouterr().err
+
+
+class TestExampleConfig:
+    def test_documents_every_key_with_its_default(self):
+        # commented-out keys count: the file lists each schema key once
+        text = EXAMPLE_CONF.read_text()
+        keys = re.findall(r"^#?\s*([a-z0-9_]+\.[a-z0-9_]+)\s*=", text, re.MULTILINE)
+        assert sorted(keys) == sorted(cli.CONFIG_SCHEMA)
+        raw = cli.parse_config_file(EXAMPLE_CONF)
+        scene_kwargs = cli._collect(raw, "scene")
+        scene_kwargs.pop("speech_wav")
+        assert scene.SceneSpec(**scene_kwargs) == scene.SceneSpec()
+        assert scene.ArrayGeometry(**cli._collect(raw, "array")) == scene.ArrayGeometry()
+        assert StftConfig(**cli._collect(raw, "stft")) == StftConfig()
+        assert SolverConfig(**cli._collect(raw, "solver")) == SolverConfig()
 
 
 class TestProcess:

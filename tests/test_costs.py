@@ -32,32 +32,12 @@ from binaural_mwf.costs import (
 from binaural_mwf.scene import steering_vector
 from binaural_mwf.spatial_stats import Selector, wrap_angle
 
-from conftest import random_psd
+from conftest import low_rank_psd, random_filters, random_psd, shrink_cross_power
 
 
 @pytest.fixture
 def sel4():
     return Selector(q_l=np.eye(4)[0].astype(float), q_r=np.eye(4)[2].astype(float))
-
-
-def random_filters(rng, m):
-    return (
-        rng.standard_normal(m) + 1j * rng.standard_normal(m),
-        rng.standard_normal(m) + 1j * rng.standard_normal(m),
-    )
-
-
-def low_rank_psd(rng, m, rank):
-    a = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
-    return a @ a.conj().T
-
-
-def shrink_cross_power(w_l, w_r, phi_vv, factor):
-    """w_r with its component along c_l = Phi w_l scaled by ``factor``, so
-    that u = w_l^H Phi w_r = c_l^H w_r is scaled by ``factor`` too."""
-    c_l = phi_vv @ w_l
-    along = c_l * (np.vdot(c_l, w_r) / np.vdot(c_l, c_l))
-    return w_r - (1.0 - factor) * along
 
 
 def central_diff_gradient(fun, x, step=None):

@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from binaural_mwf import InvalidInputError
-from binaural_mwf.costs import CostSpec, FilterPair, j_w, pack_filters, unpack_filters
+from binaural_mwf import InvalidInputError, solver
+from binaural_mwf.costs import (
+    BinObjective,
+    CostSpec,
+    FilterPair,
+    j_w,
+    pack_filters,
+    unpack_filters,
+)
 from binaural_mwf.metrics import evaluate_filters, noise_cue_pair, speech_cue_pair
 from binaural_mwf.solver import (
     SWEEP_COLUMNS,
     SolverConfig,
+    _inverse_spd,
+    _wolfe_line_search,
     alpha_sweep,
     calibrate_alpha,
     minimize_bfgs,
@@ -23,7 +34,13 @@ from binaural_mwf.spatial_stats import (
     wrap_angle,
 )
 
-from conftest import random_coherence_set, random_psd
+from conftest import (
+    low_rank_psd,
+    random_coherence_set,
+    random_filters,
+    random_psd,
+    shrink_cross_power,
+)
 
 
 def coherence_from_mats(phi_xx, phi_vv, freqs):
@@ -119,6 +136,116 @@ class TestBfgs:
             SolverConfig(max_iterations=0)
 
 
+def _frozen_wolfe_line_search(fun, x, p, f0, g0, max_evals=30):
+    """Frozen copy of the strong-Wolfe search before its zoom lost the
+    always-true None tests and its two mirrored bracket tests became one."""
+    d0 = float(g0 @ p)
+    if d0 >= 0:
+        return None
+
+    def phi(alpha):
+        f, g = fun(x + alpha * p)
+        return f, g, float(g @ p)
+
+    alpha_prev, f_prev, d_prev = 0.0, f0, d0
+    alpha = 1.0
+    evals = 0
+    lo = hi = None
+    f_lo = d_lo = f_hi_known = None
+    while evals < max_evals:
+        f, g, d = phi(alpha)
+        evals += 1
+        if f > f0 + 1e-4 * alpha * d0 or (evals > 1 and f >= f_prev):
+            lo, f_lo, d_lo, hi = alpha_prev, f_prev, d_prev, alpha
+            f_hi_known = f
+            break
+        if abs(d) <= -0.9 * d0:
+            return alpha, f, g
+        if d >= 0:
+            lo, f_lo, d_lo, hi = alpha, f, d, alpha_prev
+            f_hi_known = f_prev
+            break
+        alpha_prev, f_prev, d_prev = alpha, f, d
+        alpha *= 2.0
+    else:
+        return None
+
+    best = None
+    while evals < max_evals:
+        width = hi - lo
+        alpha = None
+        if f_hi_known is not None and d_lo is not None:
+            denom = 2.0 * (f_hi_known - f_lo - d_lo * width)
+            if abs(denom) > 1e-300:
+                cand = lo - d_lo * width * width / denom
+                if lo + 0.1 * abs(width) <= cand <= hi - 0.1 * abs(width) or (
+                    hi < lo and hi + 0.1 * abs(width) <= cand <= lo - 0.1 * abs(width)
+                ):
+                    alpha = cand
+        if alpha is None:
+            alpha = 0.5 * (lo + hi)
+        f, g, d = phi(alpha)
+        evals += 1
+        if f > f0 + 1e-4 * alpha * d0 or f >= f_lo:
+            hi, f_hi_known = alpha, f
+        else:
+            if abs(d) <= -0.9 * d0:
+                return alpha, f, g
+            best = (alpha, f, g)
+            if d * (hi - lo) >= 0:
+                hi, f_hi_known = lo, f_lo
+            lo, f_lo, d_lo = alpha, f, d
+        if abs(hi - lo) < 1e-16 * max(1.0, abs(lo)):
+            break
+    return best
+
+
+class TestLineSearchMatchesFrozenCopy:
+    """The line search returns exactly what the frozen copy above returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        variant=st.sampled_from(["mwf-itd", "mwf-ic"]),
+        alpha=st.sampled_from([0.3, 40.0, 1e5]),
+        case=st.sampled_from(["generic", "rank-one noise", "near collapse"]),
+        direction=st.sampled_from(["-g", "descent", "ascent", "overshoot"]),
+        log_length=st.floats(-4.0, 3.0),
+        overshoot=st.floats(1.85, 2.0),
+        max_evals=st.sampled_from([2, 4, 30]),
+    )
+    def test_same_step(self, seed, variant, alpha, case, direction, log_length,
+                       overshoot, max_evals):
+        rng = np.random.default_rng(seed)
+        m = 4
+        sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[2])
+        phi_xx = random_psd(rng, m)
+        phi_vv = low_rank_psd(rng, m, 1) if case == "rank-one noise" else random_psd(rng, m)
+        objective = BinObjective(phi_xx, phi_xx + phi_vv, phi_vv, sel.q_l, sel.q_r,
+                                 CostSpec(variant, alpha), 500.0)
+        w_l, w_r = random_filters(rng, m)
+        if case == "near collapse":
+            w_r = shrink_cross_power(w_l, w_r, phi_vv, 1e-3)
+        x = pack_filters(w_l, w_r)
+        f0, g0 = objective(x)
+        if direction == "overshoot":
+            # a Newton step stretched to just short of its mirror point lowers
+            # the cost but turns the slope positive: the bracket opens with
+            # hi below lo
+            p = -overshoot * (_inverse_spd(objective.hessian(x)) @ g0)
+        else:
+            p = -g0 if direction == "-g" else rng.standard_normal(x.size)
+            if (p @ g0 > 0) == (direction != "ascent"):
+                p = -p
+            p = p * 10.0**log_length / np.max(np.abs(p))
+        got = _wolfe_line_search(objective, x, p, f0, g0, max_evals)
+        want = _frozen_wolfe_line_search(objective, x, p, f0, g0, max_evals)
+        assert (got is None) == (want is None)
+        if want is not None:
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
 class TestSolveBin:
     def test_alpha_zero_matches_closed_form(self, sel6):
         rng = np.random.default_rng(4)
@@ -126,7 +253,8 @@ class TestSolveBin:
         closed, _ = mwf_closed_form(phi, sel6)
         for k in range(3):
             w_l, w_r, diag = solve_bin(
-                CostSpec("mwf-ic", 0.0), phi, sel6, k, SolverConfig()
+                CostSpec("mwf-ic", 0.0), phi, sel6, k, SolverConfig(),
+                closed.w_l[k], closed.w_r[k],
             )
             ref = np.abs(closed.w_l[k]).max()
             assert np.abs(w_l - closed.w_l[k]).max() < 1e-6 * ref
@@ -149,8 +277,10 @@ class TestSolveBin:
         phi = coherence_from_mats(
             phi_xx[np.newaxis], phi_vv[np.newaxis], [cfg.freqs[k]]
         )
+        closed, _ = mwf_closed_form(phi, selector)
         w_l, w_r, diag = solve_bin(
-            CostSpec("mwf-ic", 1e4), phi, sel_from(selector), 0, SolverConfig()
+            CostSpec("mwf-ic", 1e4), phi, sel_from(selector), 0, SolverConfig(),
+            closed.w_l[0], closed.w_r[0],
         )
         pair = FilterPair(w_l=w_l[np.newaxis], w_r=w_r[np.newaxis])
         sub_cfg_freqs = np.array([cfg.freqs[k]])
@@ -165,7 +295,8 @@ class TestSolveBin:
         for k in (2, 8, 15, 22):
             from binaural_mwf.costs import combined
 
-            w_l, w_r, diag = solve_bin(spec, phi30, selector, k, SolverConfig())
+            w_l, w_r, diag = solve_bin(spec, phi30, selector, k, SolverConfig(),
+                                       closed.w_l[k], closed.w_r[k])
             ev0 = combined(
                 closed.w_l[k], closed.w_r[k], phi30.phi_xx[k], phi30.phi_yy[k],
                 phi30.phi_vv[k], selector.q_l, selector.q_r, spec, phi30.freqs[k],
@@ -200,6 +331,35 @@ class TestSolveAllBins:
             result.filters.w_l[high], closed.w_l[high], atol=1e-12
         )
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        variant=st.sampled_from(["mwf-itd", "mwf-ic"]),
+        alpha=st.sampled_from([0.3, 40.0, 1e3]),
+        order=st.permutations(range(6)),
+    )
+    def test_bin_permutation_commutes(self, seed, variant, alpha, order):
+        # bins are solved independently: 0 Hz and the two bins above the
+        # 1500 Hz cutoff keep the closed form, the other three are penalized
+        rng = np.random.default_rng(seed)
+        phi = random_coherence_set(rng, 4, 6, np.array([0.0, 250.0, 750.0, 1500.0,
+                                                        2000.0, 4000.0]))
+        sel = Selector(q_l=np.eye(4)[0], q_r=np.eye(4)[2])
+        order = np.array(order)
+        permuted = CoherenceSet(phi_yy=phi.phi_yy[order], phi_vv=phi.phi_vv[order],
+                                phi_xx=phi.phi_xx[order], freqs=phi.freqs[order],
+                                frames_speech=100, frames_noise=100)
+        spec = CostSpec(variant, alpha)
+        base = solve_all_bins(spec, phi, sel)
+        moved = solve_all_bins(spec, permuted, sel)
+        for got, want in ((moved.filters.w_l, base.filters.w_l),
+                          (moved.filters.w_r, base.filters.w_r),
+                          (moved.cost, base.cost), (moved.iterations, base.iterations),
+                          (moved.converged, base.converged),
+                          (moved.flagged, base.flagged)):
+            assert np.array_equal(got, want[order])
+        assert np.any(base.iterations > 0)
+
     def test_mwf_output_noise_inherits_speech_cues(
         self, scene30, phi30, mwf30, selector, cfg
     ):
@@ -225,6 +385,20 @@ class TestSolveAllBins:
         assert np.max(dev) < 0.05
 
 
+@pytest.fixture
+def probed_alphas(monkeypatch):
+    """Every alpha the solver module's solve_all_bins receives, in order."""
+    seen = []
+    solve = solver.solve_all_bins
+
+    def recording(spec, *args, **kwargs):
+        seen.append(spec.alpha)
+        return solve(spec, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_all_bins", recording)
+    return seen
+
+
 def assert_calibration_solve(cal, spec, phi, selector, scene):
     """The calibration's solve and report are those of a fresh solve at its alpha."""
     direct = solve_all_bins(spec.with_alpha(cal.alpha), phi, selector)
@@ -239,31 +413,39 @@ def assert_calibration_solve(cal, spec, phi, selector, scene):
 
 
 class TestCalibration:
-    def test_zero_loss_fraction_returns_zero_alpha(self, phi30, selector, scene30):
+    # The tests pin every alpha the search probes, in order and with repeats,
+    # so a change to the search shows even where the chosen alpha holds.
+
+    def test_zero_loss_fraction_returns_zero_alpha(self, phi30, selector, scene30,
+                                                   probed_alphas):
         cal = calibrate_alpha(
             CostSpec("mwf-ic"), phi30, selector, scene30, loss_fraction=0.0
         )
+        assert probed_alphas == [0.0]
         assert cal.alpha == 0.0
         assert cal.achieved_loss == 0.0
         assert_calibration_solve(cal, CostSpec("mwf-ic"), phi30, selector, scene30)
 
-    def test_grid_top_returns_its_solve(self, phi30, selector, scene30):
+    def test_grid_top_returns_its_solve(self, phi30, selector, scene30, probed_alphas):
         spec = CostSpec("mwf-ic")
         cal = calibrate_alpha(spec, phi30, selector, scene30, grid_lo=0.1,
                               grid_hi=1.0, grid_points=2)
+        assert probed_alphas == [0.0, 1.0]
         assert cal.warning.startswith("grid exhausted")
         assert cal.alpha == 1.0
         assert_calibration_solve(cal, spec, phi30, selector, scene30)
 
     @pytest.mark.parametrize("loss", [1e-9, 0.015])
     def test_infeasible_lowest_grid_point_returns_its_solve(
-        self, phi30, selector, scene30, loss
+        self, phi30, selector, scene30, loss, probed_alphas
     ):
         # 1e-9 refines down to alpha = 0; 0.015 keeps a positive refinement
         spec = CostSpec("mwf-ic")
         cal = calibrate_alpha(spec, phi30, selector, scene30, loss_fraction=loss,
                               grid_lo=1.0, grid_hi=10.0, grid_points=2,
                               refinements=3)
+        refined = {1e-9: [0.5, 0.25, 0.125], 0.015: [0.5, 0.75, 0.625]}[loss]
+        assert probed_alphas == [0.0, 10.0, 1.0, *refined]
         assert cal.warning == "penalty infeasible at the lowest grid point"
         assert (cal.alpha > 0) == (loss > 1e-9)
         assert_calibration_solve(cal, spec, phi30, selector, scene30)
@@ -272,8 +454,11 @@ class TestCalibration:
         with pytest.raises(InvalidInputError):
             calibrate_alpha(CostSpec("mwf"), phi30, selector, scene30)
 
-    def test_closed_loop_loss_in_window(self, phi30, selector, scene30):
+    def test_closed_loop_loss_in_window(self, phi30, selector, scene30, probed_alphas):
         cal = calibrate_alpha(CostSpec("mwf-ic"), phi30, selector, scene30)
+        assert probed_alphas == [0.0, 1e5, 1e-3, 10.0, 1e3, 100.0, 31.622776601683793,
+                                 56.23413251903491, 42.169650342858226,
+                                 48.696752516586315, 52.32991146814947]
         assert cal.warning is None
         assert 0.13 <= cal.achieved_loss <= 0.15
         assert cal.alpha > 0
