@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, solver, spatial_stats, wavio
-from .costs import CostSpec, FilterPair, VARIANTS
+from .costs import CostSpec, VARIANTS
 from .errors import ConfigError, InvalidInputError
 from .phase_model import RatioPhaseParams, phase_pdf, sample_ratio_phase
 from .scene import ArrayGeometry, SceneSpec, synthesize_scene
@@ -293,9 +293,6 @@ def cmd_process(cfg: RunConfig):
         "alphas": {},
     }
     cues_by_variant = {}
-    identity = FilterPair.identity(selector, cfg.stft.bin_count)
-    cues_by_variant["unprocessed"] = metrics.noise_cue_pair(
-        identity, scene, selector, cfg.cue_cutoff)[1]
     for variant, (alpha, cal, solved, report) in results.items():
         reports[variant] = report
         meta = {"alpha": alpha, "nonconverged_fraction": solved.nonconverged_fraction}
@@ -310,13 +307,14 @@ def cmd_process(cfg: RunConfig):
         encoding = "pcm16" if cfg.write_pcm16 else "float32"
         wavio.write_wav(out / f"enhanced_{variant}.wav", audio,
                         cfg.stft.sample_rate, encoding=encoding)
-        _, cues_out = metrics.noise_cue_pair(solved.filters, scene, selector,
-                                             cfg.cue_cutoff)
+        # the "unprocessed" column: the input cues, one object for every variant
+        cues_in, cues_out = metrics.noise_cue_pair(solved.filters, scene, selector,
+                                                   cfg.cue_cutoff)
         cues_by_variant[variant] = cues_out
         spatial_stats.cues_to_csv(out / f"cues_{variant}.csv", cues_out)
     metrics.report_to_json(out / "metrics.json", reports, extra=extra)
     metrics.write_ic_spectrum_csv(out / "ic_spectrum.csv", cfg.stft.freqs,
-                                  cues_by_variant)
+                                  {"unprocessed": cues_in, **cues_by_variant})
     worst = max(nonconv_fractions) if nonconv_fractions else 0.0
     if worst > _NONCONVERGED_LIMIT:
         print(f"warning: {worst:.1%} of bins did not converge", file=sys.stderr)

@@ -381,22 +381,6 @@ def hess_j_w(phi_yy, m):
     return out
 
 
-def hess_j_ipd(w_l, w_r, phi_vv, q_l, q_r):
-    """Exact Hessian of the phase penalty, or None on a degenerate bin."""
-    ipd_in = input_ipd(phi_vv, q_l, q_r)
-    if ipd_in is None:
-        return None
-    return _PhaseTerm(phi_vv, ipd_in).hessian(w_l, w_r)
-
-
-def hess_j_ic(w_l, w_r, phi_vv, q_l, q_r):
-    """Exact Hessian of the coherence penalty, or None on a degenerate bin."""
-    ic_in = input_ic(phi_vv, q_l, q_r)
-    if ic_in is None:
-        return None
-    return _CoherenceTerm(phi_vv, ic_in).hessian(w_l, w_r)
-
-
 class BinObjective:
     """The combined objective of one bin, with its invariants built once.
 

@@ -13,6 +13,12 @@ Cue errors compare input cues (reference microphones) with output cues
 both normalized to [0, 1].  The intelligibility-weighted gain uses the
 one-third-octave band-importance weights of the speech-intelligibility
 index family, renormalized over the bands available below Nyquist.
+
+The unprocessed terms (input SNRs, input band SNRs, input cues) are read
+from the two reference microphones directly: the left and right reference
+channels of the speech and noise tensors, and the reference entries of
+each coherence matrix.  They equal, bit for bit, what the pass-through
+filter pair selecting those microphones would give.
 """
 
 from __future__ import annotations
@@ -134,18 +140,13 @@ def band_snrs_db(z_x: SpectralTensor, z_v: SpectralTensor, active, freqs):
     return out
 
 
-def delta_isnr(z_x_out, z_v_out, z_x_in, z_v_in, active, freqs):
-    """Per-ear intelligibility-weighted SNR gain in dB.
+def isnr_gain(snr_out, snr_in):
+    """Per-ear intelligibility-weighted SNR gain in dB between two
+    ``band_snrs_db`` tables.
 
     Bands silent in either condition are excluded and the importance
     weights renormalized over the remaining bands.
     """
-    return _isnr_gain(band_snrs_db(z_x_out, z_v_out, active, freqs),
-                      band_snrs_db(z_x_in, z_v_in, active, freqs))
-
-
-def _isnr_gain(snr_out, snr_in):
-    """Per-ear weighted gain between two ``band_snrs_db`` tables."""
     gains = []
     for ear in range(2):
         usable = np.isfinite(snr_out[:, ear]) & np.isfinite(snr_in[:, ear])
@@ -215,7 +216,7 @@ def _scene_term(scene, key, compute):
     """``compute()`` once per scene and ``key``, then reused.
 
     Holds the metric terms that no filter set changes: direct covariances,
-    input cues and the identity-filter reductions.  Only reductions are
+    input cues and the reference-channel reductions.  Only reductions are
     kept, never a (channel, frame, bin) tensor.  A scene's tensors are not
     modified after synthesis, so the terms stay valid; callers share the
     returned objects and must not modify them.
@@ -230,17 +231,18 @@ def _reference_key(selector: Selector):
     return (selector.q_l.size, selector.index_left, selector.index_right)
 
 
-def _identity_terms(scene, selector: Selector):
+def _reference_terms(scene, selector: Selector):
     """(per-ear SNR, band SNR table) of the unprocessed reference mics."""
 
     def compute():
-        identity = FilterPair.identity(selector, scene.x.bin_count)
-        zx, zv = shadow_filter(identity, scene.x, scene.v)
+        refs = [selector.index_left, selector.index_right]
+        zx = SpectralTensor(scene.x.data[refs], scene.x.config)
+        zv = SpectralTensor(scene.v.data[refs], scene.v.config)
         active = scene.vad.active
         return (snr_db(zx, zv, active),
                 band_snrs_db(zx, zv, active, scene.x.config.freqs))
 
-    return _scene_term(scene, ("identity",) + _reference_key(selector), compute)
+    return _scene_term(scene, ("reference",) + _reference_key(selector), compute)
 
 
 def _cue_pair(filters: FilterPair, scene, selector: Selector, cue_cutoff, name,
@@ -273,13 +275,13 @@ def evaluate_filters(filters: FilterPair, scene, selector: Selector,
     """Full objective report for one filter set on one scene."""
     # the scene's own terms first, so their temporaries are gone before the
     # filtered outputs exist
-    _, bands_in = _identity_terms(scene, selector)
+    _, bands_in = _reference_terms(scene, selector)
     z_x, z_v = shadow_filter(filters, scene.x, scene.v)
     active = scene.vad.active
     freqs = scene.x.config.freqs
 
     snr_l, snr_r = snr_db(z_x, z_v, active)
-    disnr_l, disnr_r = _isnr_gain(band_snrs_db(z_x, z_v, active, freqs), bands_in)
+    disnr_l, disnr_r = isnr_gain(band_snrs_db(z_x, z_v, active, freqs), bands_in)
     cues_n_in, cues_n_out = noise_cue_pair(filters, scene, selector, cue_cutoff)
     cues_s_in, cues_s_out = speech_cue_pair(filters, scene, selector, cue_cutoff)
     ic_mag = np.where(cues_n_out.valid, np.abs(cues_n_out.ic), np.nan)
@@ -297,8 +299,8 @@ def evaluate_filters(filters: FilterPair, scene, selector: Selector,
 
 
 def input_snr_db(scene, selector: Selector):
-    """Unprocessed per-ear SNR of the scene (identity filtering)."""
-    return _identity_terms(scene, selector)[0]
+    """Unprocessed per-ear SNR of the scene, at the reference microphones."""
+    return _reference_terms(scene, selector)[0]
 
 
 def report_to_json(path, reports, extra=None):

@@ -124,17 +124,18 @@ def circular_variance(angles):
     return float(1.0 - np.abs(np.mean(np.exp(1j * np.asarray(angles)))))
 
 
-def phase_variance_curve(magnitudes, n, seed, rho_angle=np.pi / 4):
+def phase_variance_curve(magnitudes, n, seed):
     """Circular variance of the sampled ratio phase per |rho|.
 
     Reproduces the dispersion law: variance grows as the coherence
-    magnitude shrinks.  Returns a list of (|rho|, circular variance).
+    magnitude shrinks.  The variance does not depend on the angle of rho,
+    which is fixed at pi/4.  Returns a list of (|rho|, circular variance).
     """
     rows = []
     for i, mag in enumerate(magnitudes):
         if not 0.0 <= mag < 1.0:
             raise InvalidInputError("|rho| values must lie in [0, 1)")
-        params = RatioPhaseParams(rho=mag * np.exp(1j * rho_angle))
+        params = RatioPhaseParams(rho=mag * np.exp(1j * np.pi / 4))
         samples = sample_ratio_phase(params, n, seed + i)
         rows.append((float(mag), circular_variance(samples)))
     return rows

@@ -11,6 +11,11 @@ capped so it stays within 6 dB below 1.5 kHz.
 Scene signals are produced by filtering the source waveforms with the exact
 steering response on a dense FFT grid (the parametric analogue of convolving
 with measured impulse responses), then transformed with the analysis STFT.
+The signal is zero-padded on both sides before the transform: by 2048
+samples for the parametric response, whose acausal tails are far shorter,
+and by max(2048, taps) for a measured (M, taps) response, so that no
+circular wrap-around reaches the returned samples.  On that grid
+``rfft(ir, n)`` is the exact DTFT of the measured response.
 A small independent sensor-noise floor is added to the noise component at
 each microphone; without it every estimated noise coherence matrix would be
 exactly rank one and every filtered output perfectly coherent, which no
@@ -46,6 +51,10 @@ _EARLY_REFLECTIONS = (
     (0.0045, 0.0, -0.5, 0.0),
     (0.0097, -6.0, 0.33, 12.0),
 )
+
+# Zero padding per side of a steered signal, in samples; a measured response
+# gets at least its own length.
+_PARAMETRIC_PAD = 2048
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,6 @@ class SteeringVectorSet:
     """Acoustic transfer functions h(k), one complex M-vector per bin."""
 
     h: np.ndarray  # (bins, M)
-    azimuth: float
-    distance: float
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=complex)
@@ -152,8 +159,6 @@ class SceneData:
     v: SpectralTensor
     vad: VadLabels
     worst_ear: str  # "left" | "right"
-    spec: SceneSpec
-    geometry: ArrayGeometry
     # filter-independent metric terms, filled on first use by ``metrics``
     metric_terms: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -218,7 +223,7 @@ def steering_vector(
 ) -> SteeringVectorSet:
     """Direct-path steering set on the STFT bin grid."""
     h = steering_response(geometry, azimuth_deg, distance, cfg.freqs).T
-    return SteeringVectorSet(h=h, azimuth=float(azimuth_deg), distance=float(distance))
+    return SteeringVectorSet(h=h)
 
 
 def scene_response(geometry, azimuth_deg, distance, spec: SceneSpec, freqs):
@@ -241,30 +246,6 @@ def scene_response(geometry, azimuth_deg, distance, spec: SceneSpec, freqs):
     return resp
 
 
-def steering_from_impulse_responses(ir, sample_rate, cfg: StftConfig):
-    """Steering set from user-supplied multichannel impulse responses.
-
-    ``ir`` is (M, taps) with channel order L1..L_ML, R1..R_MR.  The transfer
-    function is the exact DTFT of the response evaluated on the bin grid.
-    """
-    ir = np.atleast_2d(np.asarray(ir, dtype=float))
-    if sample_rate != cfg.sample_rate:
-        raise InvalidInputError(
-            f"impulse-response rate {sample_rate} does not match config "
-            f"{cfg.sample_rate} (no resampling)"
-        )
-    h = _response_from_ir(ir, cfg.freqs, cfg.sample_rate).T
-    return SteeringVectorSet(h=h, azimuth=np.nan, distance=np.nan)
-
-
-def _response_from_ir(ir, freqs, sample_rate):
-    """Exact DTFT of (M, taps) responses at ``freqs``, (M, F)."""
-    taps = np.arange(ir.shape[1])
-    # (F, taps) kernel; fine for the few-hundred-tap responses.
-    kernel = np.exp(-2j * np.pi * np.outer(np.asarray(freqs) / sample_rate, taps))
-    return (kernel @ ir.T).T  # (M, F)
-
-
 def steered_tensor(steering: SteeringVectorSet, source: np.ndarray, cfg: StftConfig):
     """Exactly rank-one multichannel tensor: data[m, t, k] = h[k, m] s[t, k].
 
@@ -277,12 +258,13 @@ def steered_tensor(steering: SteeringVectorSet, source: np.ndarray, cfg: StftCon
     return SpectralTensor(data, cfg)
 
 
-def _filter_multichannel(signal, response_fn, pad=2048):
+def _filter_multichannel(signal, response_fn, pad):
     """Apply per-channel LTI responses to a 1-D signal via a dense FFT.
 
     ``response_fn(n_fft)`` returns the (M, n_fft//2+1) complex response on
-    the dense rfft grid.  Padding on both sides absorbs the (acausal) filter
-    tails so no circular wrap-around reaches the returned samples.
+    the dense rfft grid.  ``pad`` zeros on both sides absorb the filter
+    tails, so no circular wrap-around reaches the returned samples as long
+    as neither tail is longer than ``pad``.
     """
     n = signal.size
     padded = np.pad(signal, (pad, pad))
@@ -297,13 +279,14 @@ def _lowpass_mask(freqs, cutoff):
     return (freqs <= cutoff).astype(float)
 
 
-def synthetic_speech(duration, sample_rate, seed, f0=115.0):
+def synthetic_speech(duration, sample_rate, seed):
     """Deterministic speech-like test signal: voiced harmonic bursts.
 
     A harmonic stack with a formant-shaped envelope plus a weak breath-noise
     component, gated by a syllable/pause envelope so an ideal VAD sees both
     active and silent frames.  Pauses are digitally silent.
     """
+    f0 = 115.0  # mean fundamental, Hz
     rng = np.random.default_rng(seed)
     n = int(round(duration * sample_rate))
     t = np.arange(n) / sample_rate
@@ -369,7 +352,6 @@ def synthesize_scene(
     spec: SceneSpec,
     geometry: ArrayGeometry,
     cfg: StftConfig,
-    vad_threshold_db=40.0,
     speech_ir=None,
     noise_ir=None,
 ) -> SceneData:
@@ -396,26 +378,25 @@ def synthesize_scene(
     if spec.noise_cutoff >= nyquist:
         raise InvalidInputError("noise_cutoff must be below the Nyquist frequency")
 
-    def response_factory(azimuth, distance, ir):
-        def resp(n_fft):
-            freqs = np.fft.rfftfreq(n_fft, 1.0 / cfg.sample_rate)
-            if ir is not None:
-                return _response_from_ir(np.atleast_2d(ir), freqs, cfg.sample_rate)
-            return scene_response(geometry, azimuth, distance, spec, freqs)
-
-        return resp
+    def steer(signal, azimuth, distance, ir):
+        """``signal`` at every microphone, through ``ir`` or the parametric path."""
+        if ir is None:
+            return _filter_multichannel(signal, lambda n_fft: scene_response(
+                geometry, azimuth, distance, spec,
+                np.fft.rfftfreq(n_fft, 1.0 / cfg.sample_rate)), _PARAMETRIC_PAD)
+        ir = np.atleast_2d(ir)
+        return _filter_multichannel(signal, lambda n_fft: np.fft.rfft(ir, n=n_fft),
+                                    max(_PARAMETRIC_PAD, ir.shape[1]))
 
     n = speech.size
-    speech_resp = response_factory(spec.speech_azimuth, spec.speech_distance, speech_ir)
-    x_t = _filter_multichannel(speech, speech_resp)
+    x_t = steer(speech, spec.speech_azimuth, spec.speech_distance, speech_ir)
 
     rng = np.random.default_rng(np.uint64(spec.seed))
     noise = rng.standard_normal(n)
     noise_spec = np.fft.rfft(noise)
     f_dense = np.fft.rfftfreq(n, 1.0 / cfg.sample_rate)
     noise = np.fft.irfft(noise_spec * _lowpass_mask(f_dense, spec.noise_cutoff), n=n)
-    noise_resp = response_factory(spec.noise_azimuth, spec.noise_distance, noise_ir)
-    v_t = _filter_multichannel(noise, noise_resp)
+    v_t = steer(noise, spec.noise_azimuth, spec.noise_distance, noise_ir)
     floor_scale = 10.0 ** (spec.sensor_noise_db / 20.0) * np.sqrt(
         np.mean(v_t**2)
     )
@@ -423,7 +404,7 @@ def synthesize_scene(
 
     x = analyze(x_t, cfg)
     v = analyze(v_t, cfg)
-    vad = ideal_vad(x, threshold_db=vad_threshold_db)
+    vad = ideal_vad(x)
     if vad.active_count < 2 or vad.frame_count - vad.active_count < 2:
         raise InvalidInputError(
             "scene is unusable: needs at least two active and two silent frames"
@@ -447,12 +428,4 @@ def synthesize_scene(
     v = SpectralTensor(v.data * gain, cfg)
     y = SpectralTensor(x.data + v.data, cfg)
 
-    return SceneData(
-        y=y,
-        x=x,
-        v=v,
-        vad=vad,
-        worst_ear=worst_ear,
-        spec=spec,
-        geometry=geometry,
-    )
+    return SceneData(y=y, x=x, v=v, vad=vad, worst_ear=worst_ear)

@@ -163,9 +163,7 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun(x)
-    n = x.size
-    eye = np.eye(n)
-    seed = eye if h0 is None else np.asarray(h0, dtype=float)
+    seed = np.eye(x.size) if h0 is None else np.asarray(h0, dtype=float)
     h = seed.copy()
     first_update = h0 is None
     iterations = 0
@@ -218,8 +216,8 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
     return BfgsResult(x, f, g, iterations, _converged(f, g, cfg))
 
 
-def _newton_polish(objective, x, f, g, cfg: SolverConfig, max_steps=30):
-    """Drive the gradient norm down with damped Newton steps.
+def _newton_polish(objective, x, f, g, cfg: SolverConfig):
+    """Drive the gradient norm down with at most 30 damped Newton steps.
 
     Line-search descent stalls once cost differences reach the float noise
     floor; near the optimum the gradient is still perfectly informative, so
@@ -228,7 +226,7 @@ def _newton_polish(objective, x, f, g, cfg: SolverConfig, max_steps=30):
     measurably increasing the cost.
     """
     best = (x, f, g)
-    for _ in range(max_steps):
+    for _ in range(30):
         if _converged(f, g, cfg):
             best = (x, f, g)
             break

@@ -75,8 +75,6 @@ class CoherenceSet:
     phi_vv: np.ndarray
     phi_xx: np.ndarray
     freqs: np.ndarray
-    frames_speech: int
-    frames_noise: int
 
     @property
     def bin_count(self):
@@ -136,23 +134,15 @@ def estimate_coherence(spec: SpectralTensor, vad: VadLabels) -> CoherenceSet:
     if spec.frame_count != vad.frame_count:
         raise InvalidInputError("VAD length does not match frame count")
     active = vad.active
-    n_speech = int(active.sum())
-    n_noise = int((~active).sum())
-    if n_speech < 2 or n_noise < 2:
+    if active.sum() < 2 or (~active).sum() < 2:
         raise InvalidInputError(
             "need at least two frames of each class to estimate coherence"
         )
     phi_yy = covariance_per_bin(spec.data, active)
     phi_vv = covariance_per_bin(spec.data, ~active)
     phi_xx = psd_floor(phi_yy - phi_vv)
-    return CoherenceSet(
-        phi_yy=phi_yy,
-        phi_vv=phi_vv,
-        phi_xx=phi_xx,
-        freqs=spec.config.freqs,
-        frames_speech=n_speech,
-        frames_noise=n_noise,
-    )
+    return CoherenceSet(phi_yy=phi_yy, phi_vv=phi_vv, phi_xx=phi_xx,
+                        freqs=spec.config.freqs)
 
 
 def _cues_from_products(num, p_l, p_r, freqs, cue_cutoff):

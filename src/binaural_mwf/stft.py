@@ -1,9 +1,9 @@
 """Short-time analysis and weighted overlap-add (WOLA) synthesis.
 
 Multichannel time-domain audio is chopped into tapered frames, zero-padded
-to the FFT size and transformed to a one-sided spectrum.  Synthesis applies
-the synthesis taper to each inverse-transformed frame, overlap-adds, and
-normalises by the accumulated analysis*synthesis window so the round trip
+to the FFT size and transformed to a one-sided spectrum.  Analysis and
+synthesis use one taper w: synthesis applies w to each inverse-transformed
+frame, overlap-adds, and normalises by the accumulated w^2 so the round trip
 is exact wherever the overlap-add sum is nonzero.
 """
 
@@ -20,18 +20,16 @@ from .errors import InvalidInputError
 _COLA_TOL = 1e-10
 
 
-def window_pair(name, length):
-    """Return (analysis, synthesis) tapers for the given family.
+def window(name, length):
+    """The taper of the given family, used for analysis and synthesis alike.
 
-    ``sqrt_hann`` is the square root of the periodic Hann window on both
-    sides, which overlap-adds to a constant at any hop dividing the length.
+    ``sqrt_hann`` is the square root of the periodic Hann window, whose
+    square overlap-adds to a constant at any hop dividing the length.
     """
     if name == "sqrt_hann":
-        w = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length))
-        return w, w.copy()
+        return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length))
     if name == "rect":
-        w = np.ones(length)
-        return w, w.copy()
+        return np.ones(length)
     raise InvalidInputError(f"unknown window family: {name!r}")
 
 
@@ -54,10 +52,10 @@ class StftConfig:
             raise InvalidInputError("window_len must not exceed fft_size")
         if self.sample_rate <= 0:
             raise InvalidInputError("sample_rate must be positive")
-        wa, ws = window_pair(self.window, self.window_len)
-        # COLA: the product window summed over hop-shifted copies must be a
+        w = window(self.window, self.window_len)
+        # COLA: the squared taper summed over hop-shifted copies must be a
         # constant, otherwise WOLA reconstruction is not shift invariant.
-        folds = (wa * ws).reshape(-1, self.hop).sum(axis=0)
+        folds = (w * w).reshape(-1, self.hop).sum(axis=0)
         mean = folds.mean()
         if mean <= 0 or np.max(np.abs(folds - mean)) > _COLA_TOL * mean:
             raise InvalidInputError(
@@ -112,9 +110,6 @@ class SpectralTensor:
     def freqs(self):
         return self.config.freqs
 
-    def copy(self):
-        return SpectralTensor(self.data.copy(), self.config)
-
 
 def _as_channel_matrix(audio):
     """Coerce input to a float (channels, samples) matrix."""
@@ -143,10 +138,10 @@ def analyze(audio, cfg: StftConfig) -> SpectralTensor:
     x = _as_channel_matrix(audio)
     n = x.shape[1]
     n_frames = cfg.frame_count(n)
-    wa, _ = window_pair(cfg.window, cfg.window_len)
+    w = window(cfg.window, cfg.window_len)
     frames = sliding_window_view(x, cfg.window_len, axis=1)[:, :: cfg.hop, :]
     frames = frames[:, :n_frames, :]
-    data = np.fft.rfft(frames * wa, n=cfg.fft_size, axis=2)
+    data = np.fft.rfft(frames * w, n=cfg.fft_size, axis=2)
     return SpectralTensor(data, cfg)
 
 
@@ -161,14 +156,14 @@ def synthesize(spec: SpectralTensor) -> np.ndarray:
     cfg = spec.config
     if spec.frame_count == 0:
         raise InvalidInputError("tensor has no frames")
-    wa, ws = window_pair(cfg.window, cfg.window_len)
+    w = window(cfg.window, cfg.window_len)
     frames_t = np.fft.irfft(spec.data, n=cfg.fft_size, axis=2)[..., : cfg.window_len]
-    frames_t = frames_t * ws
+    frames_t = frames_t * w
     n_ch, n_frames, _ = frames_t.shape
     out_len = (n_frames - 1) * cfg.hop + cfg.window_len
     out = np.zeros((n_ch, out_len))
     norm = np.zeros(out_len)
-    prod = wa * ws
+    prod = w * w
     for t in range(n_frames):
         start = t * cfg.hop
         out[:, start : start + cfg.window_len] += frames_t[:, t, :]

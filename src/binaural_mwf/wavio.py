@@ -17,8 +17,6 @@ def read_wav(path, expected_rate=None):
     """
     try:
         rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
     except ValueError as exc:
         raise InvalidInputError(f"cannot read WAV {path}: {exc}") from exc
     if expected_rate is not None and rate != expected_rate:

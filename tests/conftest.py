@@ -77,6 +77,4 @@ def random_coherence_set(rng, m, bins, freqs):
         phi_vv=phi_vv,
         phi_xx=phi_xx,
         freqs=freqs[:bins],
-        frames_speech=100,
-        frames_noise=100,
     )

@@ -127,6 +127,19 @@ class TestConfigParsing:
         assert str(ir_wav) in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    def test_noise_ir_sample_rate_checked(self, tmp_path, speech_wav, capsys,
+                                          no_scene):
+        # a 6-channel pure delay at 48 kHz; nothing is resampled
+        ir_wav = tmp_path / "noise_ir.wav"
+        wavio.write_wav(ir_wav, np.eye(6, 16, k=1), 48000)
+        out = tmp_path / "out"
+        conf = write_config(tmp_path / "c.conf", speech_wav, out,
+                            extra=f"scene.noise_ir_wav = {ir_wav}")
+        assert cli.main(["process", "--config", str(conf)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(ir_wav) in err and "48000" in err
+        assert not out.exists()
+
     def test_duplicate_key_rejected(self, tmp_path, speech_wav, capsys):
         conf = write_config(tmp_path / "c.conf", speech_wav, tmp_path / "out",
                             extra="run.seed = 43")

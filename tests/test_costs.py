@@ -18,8 +18,6 @@ from binaural_mwf.costs import (
     _u_hessian,
     combined,
     combined_hessian,
-    hess_j_ic,
-    hess_j_ipd,
     input_ic,
     input_ipd,
     j_ic,
@@ -360,12 +358,14 @@ class TestHessians:
                 grad = lambda x: j_ipd(
                     *unpack_filters(x), phi_vv, sel4.q_l, sel4.q_r
                 ).gradient
-                hess = hess_j_ipd(w_l, w_r, phi_vv, sel4.q_l, sel4.q_r)
+                ipd_in = input_ipd(phi_vv, sel4.q_l, sel4.q_r)
+                hess = _PhaseTerm(phi_vv, ipd_in).hessian(w_l, w_r)
             else:
                 grad = lambda x: j_ic(
                     *unpack_filters(x), phi_vv, sel4.q_l, sel4.q_r
                 ).gradient
-                hess = hess_j_ic(w_l, w_r, phi_vv, sel4.q_l, sel4.q_r)
+                ic_in = input_ic(phi_vv, sel4.q_l, sel4.q_r)
+                hess = _CoherenceTerm(phi_vv, ic_in).hessian(w_l, w_r)
             x0 = pack_filters(w_l, w_r)
             n = x0.size
             step = 1e-6
@@ -408,16 +408,16 @@ class TestPenaltyProperties:
             # central differences must not straddle the phase wrap
             d = wrap_angle(np.angle(u) - input_ipd(phi_vv, sel.q_l, sel.q_r))
             assume(abs(abs(d) - np.pi) > 1e-3)
-            term, hess_fn = j_ipd, hess_j_ipd
+            term, penalty, input_cue = j_ipd, _PhaseTerm, input_ipd
         else:
-            term, hess_fn = j_ic, hess_j_ic
+            term, penalty, input_cue = j_ic, _CoherenceTerm, input_ic
         # a step that moves u by a fixed fraction of |u|
         step = 1e-5 * abs(u) / max(np.linalg.norm(c_l), np.linalg.norm(c_r))
 
         def grad(x):
             return term(*unpack_filters(x), phi_vv, sel.q_l, sel.q_r).gradient
 
-        hess = hess_fn(w_l, w_r, phi_vv, sel.q_l, sel.q_r)
+        hess = penalty(phi_vv, input_cue(phi_vv, sel.q_l, sel.q_r)).hessian(w_l, w_r)
         x0 = pack_filters(w_l, w_r)
         n = x0.size
         fd = np.empty((n, n))

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binaural_mwf import InvalidInputError
 from binaural_mwf.costs import FilterPair
@@ -10,22 +12,30 @@ from binaural_mwf.metrics import (
     MetricsReport,
     SII_BAND_CENTERS,
     SII_BAND_WEIGHTS,
+    _reference_terms,
     apply_filters,
-    delta_isnr,
+    band_snrs_db,
     delta_itd,
     delta_msc,
     evaluate_filters,
     ic_spectrum_rows,
     input_snr_db,
+    isnr_gain,
     noise_cue_pair,
     report_to_json,
     shadow_filter,
     snr_db,
     write_ic_spectrum_csv,
 )
-from binaural_mwf.scene import steered_tensor, steering_vector
-from binaural_mwf.spatial_stats import CueEstimate, Selector, input_cues
-from binaural_mwf.stft import SpectralTensor
+from binaural_mwf.scene import SceneData, VadLabels, steered_tensor, steering_vector
+from binaural_mwf.spatial_stats import (
+    CueEstimate,
+    Selector,
+    covariance_per_bin,
+    input_cues,
+    output_cues,
+)
+from binaural_mwf.stft import SpectralTensor, StftConfig
 
 from conftest import random_psd
 
@@ -113,16 +123,17 @@ class TestDeltaIsnr:
     def test_no_processing_gives_zero(self, scene30, selector):
         identity = FilterPair.identity(selector, scene30.x.bin_count)
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
-        l, r = delta_isnr(
-            z_x, z_v, z_x, z_v, scene30.vad.active, scene30.x.freqs
-        )
+        bands = band_snrs_db(z_x, z_v, scene30.vad.active, scene30.x.freqs)
+        l, r = isnr_gain(bands, bands)
         assert l == 0.0 and r == 0.0
 
     def test_uniform_gain_passes_through(self, scene30, selector, cfg):
         identity = FilterPair.identity(selector, scene30.x.bin_count)
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
         boosted = SpectralTensor(z_v.data * 10 ** (-6.0 / 20.0), cfg)
-        l, r = delta_isnr(z_x, boosted, z_x, z_v, scene30.vad.active, cfg.freqs)
+        active = scene30.vad.active
+        l, r = isnr_gain(band_snrs_db(z_x, boosted, active, cfg.freqs),
+                         band_snrs_db(z_x, z_v, active, cfg.freqs))
         assert l == pytest.approx(6.0, abs=1e-9)
         assert r == pytest.approx(6.0, abs=1e-9)
 
@@ -133,9 +144,10 @@ class TestDeltaIsnr:
         modified = z_v.data.copy()
         low = cfg.freqs < 140.0
         modified[:, :, low] *= 0.01
-        l, r = delta_isnr(
-            z_x, SpectralTensor(modified, cfg), z_x, z_v,
-            scene30.vad.active, cfg.freqs,
+        active = scene30.vad.active
+        l, r = isnr_gain(
+            band_snrs_db(z_x, SpectralTensor(modified, cfg), active, cfg.freqs),
+            band_snrs_db(z_x, z_v, active, cfg.freqs),
         )
         assert abs(l) < 1e-9 and abs(r) < 1e-9
 
@@ -209,6 +221,71 @@ class TestEndToEnd:
         phi = np.einsum("km,kn->kmn", sv.h, sv.h.conj())
         cues = input_cues(phi, selector, cfg)
         np.testing.assert_allclose(np.abs(cues.ic[cues.valid]), 1.0, atol=1e-9)
+
+
+def frozen_reference_terms(scene, selector):
+    """The unprocessed terms as computed before they read the reference
+    channels directly: the pass-through filter pair, shadow-filtered."""
+    identity = FilterPair.identity(selector, scene.x.bin_count)
+    zx, zv = shadow_filter(identity, scene.x, scene.v)
+    active = scene.vad.active
+    return snr_db(zx, zv, active), band_snrs_db(zx, zv, active, scene.x.config.freqs)
+
+
+def frozen_input_noise_cues(scene, selector, cue_cutoff):
+    """The former "unprocessed" column of ic_spectrum.csv: output cues of the
+    pass-through filter pair."""
+    identity = FilterPair.identity(selector, scene.x.bin_count)
+    return output_cues(covariance_per_bin(scene.v.data), identity, scene.v.config,
+                       cue_cutoff)
+
+
+class TestUnprocessedMatchesFrozenIdentityPath:
+    CFG = StftConfig()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        mics=st.integers(2, 8),
+        frames=st.integers(2, 12),
+        zero_fraction=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        cue_cutoff=st.sampled_from([500.0, 1500.0, 8000.0]),
+        data=st.data(),
+    )
+    def test_bitwise_equal(self, seed, mics, frames, zero_fraction, cue_cutoff, data):
+        rng = np.random.default_rng(seed)
+        il = data.draw(st.integers(0, mics - 1), label="left reference")
+        ir = data.draw(st.integers(0, mics - 1), label="right reference")
+        selector = Selector(q_l=np.eye(mics)[il], q_r=np.eye(mics)[ir])
+        shape = (mics, frames, self.CFG.bin_count)
+
+        def tensor():
+            # exact zeros: scattered entries, and whole channels or bins
+            values = complex_white(rng, shape) * 10.0 ** rng.uniform(-3, 3)
+            values[rng.uniform(size=shape) < zero_fraction] = 0.0
+            values[rng.uniform(size=mics) < 0.2] = 0.0
+            values[:, :, rng.uniform(size=shape[2]) < 0.2] = 0.0
+            return SpectralTensor(values, self.CFG)
+
+        x, v = tensor(), tensor()
+        scene = SceneData(y=SpectralTensor(x.data + v.data, self.CFG), x=x, v=v,
+                          vad=VadLabels(rng.uniform(size=frames) < 0.5),
+                          worst_ear="right")
+        with np.errstate(divide="ignore"):
+            snr_want, bands_want = frozen_reference_terms(scene, selector)
+            snr_got = input_snr_db(scene, selector)
+            bands_got = _reference_terms(scene, selector)[1]
+        assert np.array(snr_got).tobytes() == np.array(snr_want).tobytes()
+        assert bands_got.tobytes() == bands_want.tobytes()
+
+        want = frozen_input_noise_cues(scene, selector, cue_cutoff)
+        got = input_cues(covariance_per_bin(v.data), selector, self.CFG, cue_cutoff)
+        np.testing.assert_array_equal(got.valid, want.valid)
+        # equal values; only the sign of a zero part could differ, which no
+        # artifact shows (ic_spectrum.csv writes |ic|)
+        np.testing.assert_array_equal(got.ic[got.valid], want.ic[want.valid])
+        assert (np.abs(got.ic[got.valid]).tobytes()
+                == np.abs(want.ic[want.valid]).tobytes())
 
 
 class TestIcSpectrum:

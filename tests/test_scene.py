@@ -8,7 +8,6 @@ from binaural_mwf.scene import (
     ideal_vad,
     scene_response,
     steered_tensor,
-    steering_from_impulse_responses,
     steering_vector,
     synthesize_scene,
     synthetic_speech,
@@ -70,17 +69,14 @@ class TestSteering:
         ir = np.zeros((m, 32))
         for ch in range(m):
             ir[ch, ch + 1] = 1.0  # integer delay per channel
-        sv = steering_from_impulse_responses(ir, cfg.sample_rate, cfg)
+        # a measured response enters the scene as its rfft on the grid
+        h = np.fft.rfft(ir, n=cfg.fft_size).T
         expected = np.exp(
             -2j
             * np.pi
             * np.outer(cfg.freqs, (np.arange(m) + 1) / cfg.sample_rate)
         )
-        np.testing.assert_allclose(sv.h, expected, atol=1e-12)
-
-    def test_impulse_response_rate_mismatch(self, geometry, cfg):
-        with pytest.raises(InvalidInputError):
-            steering_from_impulse_responses(np.zeros((6, 8)), 48000, cfg)
+        np.testing.assert_allclose(h, expected, atol=1e-12)
 
 
 class TestRankOneConstruction:
@@ -238,6 +234,23 @@ class TestSceneSynthesis:
         snr_l, snr_r = input_snr_db(sc, Selector.from_geometry(geometry))
         assert abs(snr_l) < 0.1
         assert snr_r == pytest.approx(12.0, abs=0.5)
+
+
+class TestLongImpulseResponses:
+    @pytest.mark.parametrize("delay", [4500, 6000])
+    def test_pure_delay_reproduces_the_delayed_signal(self, delay, geometry, cfg):
+        # responses longer than 4096 taps: no circular wrap-around may carry
+        # the end of the signal onto its start
+        rng = np.random.default_rng(delay)
+        signal = rng.standard_normal(16000)
+        ir = np.zeros((geometry.total_mics, delay + 1))
+        ir[:, delay] = 1.0
+        sc = synthesize_scene(signal, SceneSpec(seed=1, target_snr_worst_ear=np.inf),
+                              geometry, cfg, speech_ir=ir)
+        delayed = np.concatenate([np.zeros(delay), signal[: signal.size - delay]])
+        want = analyze(np.tile(delayed, (geometry.total_mics, 1)), cfg)
+        error = float(np.max(np.abs(sc.x.data - want.data)))
+        assert error < 1e-12, f"max error {error:.3g}"
 
 
 class TestSpecValidation:

@@ -51,8 +51,6 @@ def coherence_from_mats(phi_xx, phi_vv, freqs):
         phi_vv=phi_vv,
         phi_xx=phi_xx,
         freqs=np.asarray(freqs, dtype=float),
-        frames_speech=100,
-        frames_noise=100,
     )
 
 
@@ -347,8 +345,7 @@ class TestSolveAllBins:
         sel = Selector(q_l=np.eye(4)[0], q_r=np.eye(4)[2])
         order = np.array(order)
         permuted = CoherenceSet(phi_yy=phi.phi_yy[order], phi_vv=phi.phi_vv[order],
-                                phi_xx=phi.phi_xx[order], freqs=phi.freqs[order],
-                                frames_speech=100, frames_noise=100)
+                                phi_xx=phi.phi_xx[order], freqs=phi.freqs[order])
         spec = CostSpec(variant, alpha)
         base = solve_all_bins(spec, phi, sel)
         moved = solve_all_bins(spec, permuted, sel)
