@@ -9,11 +9,14 @@ Subcommands:
 - ``phase-pdf``: analytic vs Monte-Carlo density grid of the ratio phase.
 
 Runs are configured by a flat key-value file with dotted section prefixes
-(``scene.noise_azimuth = 60``); every key is validated against the schema
-below, and unknown or ill-typed keys and invalid ``run.*`` weighting values
-abort with exit code 1 naming the key, before any audio is read.
-All randomness derives from one seed (``run.seed``, overridable with
-``--seed``), so identical configurations produce byte-identical artifacts.
+(``scene.noise_azimuth = 60``); a key's suffix is the field it sets.  Every
+key is validated against the schema below before any audio is read: an
+unknown, repeated or ill-typed key, a repeated variant or an invalid
+``run.*`` weighting value exits 1 naming the key, and invalid ``array``,
+``stft``, ``scene`` or ``solver`` values exit 1 naming the section.  All
+randomness derives from one seed (``run.seed``, overridable with
+``--seed``), so identical configurations produce byte-identical artifacts,
+which ``wavio`` writes.
 
 Exit codes: 0 success, 1 invalid configuration, 2 I/O failure, 3 solver
 non-convergence on more than 10% of bins.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +58,11 @@ def _parse_bool(text):
 
 def _parse_variants(text):
     names = [v.strip().lower() for v in text.split(",") if v.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in VARIANTS:
             raise ValueError(f"unknown variant {name!r}; choose from {VARIANTS}")
+        if name in names[:i]:
+            raise ValueError(f"duplicate variant {name!r}")
     if not names:
         raise ValueError("empty variant list")
     return names
@@ -67,57 +72,61 @@ def _parse_float_list(text):
     return [float(v.strip()) for v in text.split(",") if v.strip()]
 
 
-# key -> (section attribute, parser)
+# key -> value parser; the key's suffix is the field it sets
 CONFIG_SCHEMA = {
-    "scene.speech_wav": ("speech_wav", str),
-    "scene.speech_azimuth": ("speech_azimuth", float),
-    "scene.noise_azimuth": ("noise_azimuth", float),
-    "scene.speech_distance": ("speech_distance", float),
-    "scene.noise_distance": ("noise_distance", float),
-    "scene.target_snr_worst_ear": ("target_snr_worst_ear", float),
-    "scene.noise_cutoff": ("noise_cutoff", float),
-    "scene.sensor_noise_db": ("sensor_noise_db", float),
-    "scene.reflection_gain_db": ("reflection_gain_db", float),
-    "scene.speech_ir_wav": ("speech_ir_wav", str),
-    "scene.noise_ir_wav": ("noise_ir_wav", str),
-    "array.mics_per_ear": ("mics_per_ear", int),
-    "array.intra_array_spacing": ("intra_array_spacing", float),
-    "array.head_radius": ("head_radius", float),
-    "array.sound_speed": ("sound_speed", float),
-    "stft.fft_size": ("fft_size", int),
-    "stft.window_len": ("window_len", int),
-    "stft.hop": ("hop", int),
-    "stft.sample_rate": ("sample_rate", float),
-    "stft.window": ("window", str),
-    "solver.max_iterations": ("max_iterations", int),
-    "solver.gradient_tolerance": ("gradient_tolerance", float),
-    "run.variants": ("variants", _parse_variants),
-    "run.alpha": ("alpha", float),
-    "run.alphas": ("alphas", _parse_float_list),
-    "run.calibrate": ("calibrate", float),
-    "run.cue_cutoff": ("cue_cutoff", float),
-    "run.seed": ("seed", int),
-    "run.out_dir": ("out_dir", str),
-    "run.write_pcm16": ("write_pcm16", _parse_bool),
+    "scene.speech_wav": str,
+    "scene.speech_azimuth": float,
+    "scene.noise_azimuth": float,
+    "scene.speech_distance": float,
+    "scene.noise_distance": float,
+    "scene.target_snr_worst_ear": float,
+    "scene.noise_cutoff": float,
+    "scene.sensor_noise_db": float,
+    "scene.reflection_gain_db": float,
+    "scene.speech_ir_wav": str,
+    "scene.noise_ir_wav": str,
+    "array.mics_per_ear": int,
+    "array.intra_array_spacing": float,
+    "array.head_radius": float,
+    "array.sound_speed": float,
+    "stft.fft_size": int,
+    "stft.window_len": int,
+    "stft.hop": int,
+    "stft.sample_rate": float,
+    "stft.window": str,
+    "solver.max_iterations": int,
+    "solver.gradient_tolerance": float,
+    "run.variants": _parse_variants,
+    "run.alpha": float,
+    "run.alphas": _parse_float_list,
+    "run.calibrate": float,
+    "run.cue_cutoff": float,
+    "run.seed": int,
+    "run.out_dir": str,
+    "run.write_pcm16": _parse_bool,
 }
 
 
 @dataclass
 class RunConfig:
-    """Validated run description assembled from the config file."""
+    """Validated run description assembled from the config file.
+
+    Each ``run.*`` key and scene file key sets the field of its name; the
+    ``run.*`` defaults are here.
+    """
 
     scene: SceneSpec
     geometry: ArrayGeometry
     stft: StftConfig
     solver: solver.SolverConfig
     speech_wav: str
-    variants: list
-    alpha: float | None
-    alphas: list | None
-    calibrate: float | None
-    cue_cutoff: float
     seed: int
     out_dir: str
+    variants: list = field(default_factory=lambda: ["mwf"])
+    alpha: float | None = None
+    alphas: list | None = None
+    calibrate: float | None = None
+    cue_cutoff: float = spatial_stats.CUE_CUTOFF_HZ
     write_pcm16: bool = False
     speech_ir_wav: str | None = None
     noise_ir_wav: str | None = None
@@ -141,26 +150,34 @@ def parse_config_file(path):
             raise ConfigError(key, "unknown key")
         if key in raw:
             raise ConfigError(key, "duplicate key")
-        _, parser = CONFIG_SCHEMA[key]
         try:
-            raw[key] = parser(value)
+            raw[key] = CONFIG_SCHEMA[key](value)
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from exc
     return raw
 
 
 def _collect(raw, prefix):
+    """{field: value} of the keys in section ``prefix``."""
     return {
-        CONFIG_SCHEMA[k][0]: v for k, v in raw.items() if k.startswith(prefix + ".")
+        k[len(prefix) + 1:]: v for k, v in raw.items() if k.startswith(prefix + ".")
     }
+
+
+def _checked(name, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; an invalid value is reported under ``name``."""
+    try:
+        return fn(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise ConfigError(name, str(exc)) from exc
 
 
 def build_run_config(raw, seed_override=None, out_override=None) -> RunConfig:
     scene_kwargs = _collect(raw, "scene")
-    speech_wav = scene_kwargs.pop("speech_wav", None)
-    speech_ir = scene_kwargs.pop("speech_ir_wav", None)
-    noise_ir = scene_kwargs.pop("noise_ir_wav", None)
-    if speech_wav is None:
+    # the scene's input files are RunConfig fields, not SceneSpec ones
+    files = {name: scene_kwargs.pop(name, None)
+             for name in ("speech_wav", "speech_ir_wav", "noise_ir_wav")}
+    if files["speech_wav"] is None:
         raise ConfigError("scene.speech_wav", "required")
     run_kwargs = _collect(raw, "run")
     seed = run_kwargs.get("seed", 0)
@@ -169,49 +186,26 @@ def build_run_config(raw, seed_override=None, out_override=None) -> RunConfig:
     out_dir = out_override or run_kwargs.get("out_dir")
     if out_dir is None:
         raise ConfigError("run.out_dir", "required (or pass --out)")
-    try:
-        geometry = ArrayGeometry(**_collect(raw, "array"))
-        stft_cfg = StftConfig(**_collect(raw, "stft"))
-        scene_spec = SceneSpec(seed=derive_seed(seed, "scene"), **scene_kwargs)
-        solver_cfg = solver.SolverConfig(**_collect(raw, "solver"))
-    except InvalidInputError as exc:
-        raise ConfigError("(scene/stft/solver)", str(exc)) from exc
+    geometry = _checked("array", ArrayGeometry, **_collect(raw, "array"))
+    stft_cfg = _checked("stft", StftConfig, **_collect(raw, "stft"))
+    scene_spec = _checked("scene", SceneSpec, seed=derive_seed(seed, "scene"),
+                          **scene_kwargs)
+    solver_cfg = _checked("solver", solver.SolverConfig, **_collect(raw, "solver"))
     for key, rule, values in (
         ("run.alpha", lambda v: CostSpec(alpha=v), [run_kwargs.get("alpha")]),
         ("run.alphas", lambda v: CostSpec(alpha=v), run_kwargs.get("alphas", [])),
         ("run.cue_cutoff", lambda v: CostSpec(cue_cutoff=v), [run_kwargs.get("cue_cutoff")]),
         ("run.calibrate", solver.check_loss_fraction, [run_kwargs.get("calibrate")]),
     ):
-        try:
-            for value in values:
-                if value is not None:
-                    rule(value)
-        except InvalidInputError as exc:
-            raise ConfigError(key, str(exc)) from exc
-    for label, candidate in (
-        ("scene.speech_wav", speech_wav),
-        ("scene.speech_ir_wav", speech_ir),
-        ("scene.noise_ir_wav", noise_ir),
-    ):
+        for value in values:
+            if value is not None:
+                _checked(key, rule, value)
+    for name, candidate in files.items():
         if candidate is not None and not Path(candidate).is_file():
-            raise ConfigError(label, f"file not found: {candidate}")
-    return RunConfig(
-        scene=scene_spec,
-        geometry=geometry,
-        stft=stft_cfg,
-        solver=solver_cfg,
-        speech_wav=speech_wav,
-        variants=run_kwargs.get("variants", ["mwf"]),
-        alpha=run_kwargs.get("alpha"),
-        alphas=run_kwargs.get("alphas"),
-        calibrate=run_kwargs.get("calibrate"),
-        cue_cutoff=run_kwargs.get("cue_cutoff", spatial_stats.CUE_CUTOFF_HZ),
-        seed=seed,
-        out_dir=out_dir,
-        write_pcm16=run_kwargs.get("write_pcm16", False),
-        speech_ir_wav=speech_ir,
-        noise_ir_wav=noise_ir,
-    )
+            raise ConfigError(f"scene.{name}", f"file not found: {candidate}")
+    run_kwargs.update(seed=seed, out_dir=out_dir)
+    return RunConfig(scene=scene_spec, geometry=geometry, stft=stft_cfg,
+                     solver=solver_cfg, **files, **run_kwargs)
 
 
 def _prepare(cfg: RunConfig):
@@ -249,16 +243,20 @@ def _calibrate(cfg: RunConfig, variant, loss_fraction, scene, selector, phi):
     )
 
 
-def _variant_alpha(cfg: RunConfig, variant, scene, selector, phi):
-    """(alpha, calibration record or None) for one variant."""
-    if variant == "mwf":
-        return 0.0, None
-    if cfg.calibrate is not None:
+def _solve_variant(cfg: RunConfig, variant, scene, selector, phi):
+    """(alpha, calibration record or None, solve, report) of one variant."""
+    if variant != "mwf" and cfg.calibrate is not None:
         cal = _calibrate(cfg, variant, cfg.calibrate, scene, selector, phi)
         if cal.warning:
             print(f"warning: {variant}: {cal.warning}", file=sys.stderr)
-        return cal.alpha, cal
-    return cfg.alpha, None
+        # the calibration already solved at the chosen alpha
+        return cal.alpha, cal, cal.solve, cal.report
+    alpha = 0.0 if variant == "mwf" else cfg.alpha
+    spec = CostSpec(variant, alpha, cue_cutoff=cfg.cue_cutoff)
+    solved = solver.solve_all_bins(spec, phi, selector, cfg.solver)
+    report = metrics.evaluate_filters(solved.filters, scene, selector,
+                                      cue_cutoff=cfg.cue_cutoff)
+    return alpha, None, solved, report
 
 
 def cmd_process(cfg: RunConfig):
@@ -268,19 +266,7 @@ def cmd_process(cfg: RunConfig):
                           "(or set run.calibrate)")
     scene, selector, phi = _prepare(cfg)
 
-    results = {}
-    nonconv_fractions = []
-    for variant in cfg.variants:
-        alpha, cal = _variant_alpha(cfg, variant, scene, selector, phi)
-        if cal is not None:  # calibration already solved at the chosen alpha
-            solved, report = cal.solve, cal.report
-        else:
-            spec = CostSpec(variant, alpha, cue_cutoff=cfg.cue_cutoff)
-            solved = solver.solve_all_bins(spec, phi, selector, cfg.solver)
-            report = metrics.evaluate_filters(solved.filters, scene, selector,
-                                              cue_cutoff=cfg.cue_cutoff)
-        nonconv_fractions.append(solved.nonconverged_fraction)
-        results[variant] = (alpha, cal, solved, report)
+    results = {v: _solve_variant(cfg, v, scene, selector, phi) for v in cfg.variants}
 
     snr_in = metrics.input_snr_db(scene, selector)
     out = Path(cfg.out_dir)
@@ -315,7 +301,7 @@ def cmd_process(cfg: RunConfig):
     metrics.report_to_json(out / "metrics.json", reports, extra=extra)
     metrics.write_ic_spectrum_csv(out / "ic_spectrum.csv", cfg.stft.freqs,
                                   {"unprocessed": cues_in, **cues_by_variant})
-    worst = max(nonconv_fractions) if nonconv_fractions else 0.0
+    worst = max(meta["nonconverged_fraction"] for meta in extra["alphas"].values())
     if worst > _NONCONVERGED_LIMIT:
         print(f"warning: {worst:.1%} of bins did not converge", file=sys.stderr)
         return EXIT_NONCONVERGED
@@ -347,7 +333,7 @@ def cmd_sweep(cfg: RunConfig):
 
 
 def cmd_calibrate(cfg: RunConfig):
-    loss = cfg.calibrate if cfg.calibrate is not None else 0.15
+    loss = solver.DEFAULT_LOSS_FRACTION if cfg.calibrate is None else cfg.calibrate
     scene, selector, phi = _prepare(cfg)
     doc = {"seed": cfg.seed, "loss_fraction": loss, "variants": {}}
     for variant in cfg.variants:
@@ -363,11 +349,7 @@ def cmd_calibrate(cfg: RunConfig):
         }
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    import json
-
-    with open(out / "calibration.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    wavio.write_json(out / "calibration.json", doc)
     return EXIT_OK
 
 
@@ -390,10 +372,8 @@ def cmd_phase_pdf(args):
     mc = counts / (args.samples * (2.0 * np.pi / points))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["theta,analytic_density,mc_density"]
-    for theta, a, m in zip(grid, analytic, mc):
-        lines.append(f"{float(theta)!r},{float(a)!r},{float(m)!r}")
-    (out / "phase_pdf.csv").write_text("\n".join(lines) + "\n")
+    wavio.write_csv(out / "phase_pdf.csv", ["theta", "analytic_density", "mc_density"],
+                    zip(grid, analytic, mc))
     return EXIT_OK
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spatial_stats import _EPS_REL, CUE_CUTOFF_HZ, Selector, wrap_angle
+from .spatial_stats import _EPS_REL, CUE_CUTOFF_HZ, Selector, in_cue_band, wrap_angle
 
 VARIANTS = ("mwf", "mwf-itd", "mwf-ic")
 
@@ -289,12 +289,6 @@ class _CoherenceTerm:
         )
 
 
-def _degenerate(n_params):
-    return CostEval(
-        value=DEGENERATE_PENALTY, gradient=np.zeros(n_params), degenerate=True
-    )
-
-
 def _input_products(phi_vv, q_l, q_r):
     """(cross power, left power, right power, guard) of the reference mics."""
     num = complex(q_l @ phi_vv @ q_r)
@@ -328,7 +322,7 @@ def penalty_cue(spec: CostSpec, phi_vv, q_l, q_r, freq_hz):
     """
     if spec.variant == "mwf" or not spec.alpha > 0.0:
         return None
-    if freq_hz <= 0.0 or freq_hz > spec.cue_cutoff:
+    if not in_cue_band(freq_hz, spec.cue_cutoff):
         return None
     if spec.variant == "mwf-itd":
         return input_ipd(phi_vv, q_l, q_r)
@@ -347,11 +341,13 @@ def j_w(w_l, w_r, phi_xx, phi_yy, q_l, q_r) -> CostEval:
     return CostEval(value=value, gradient=grad)
 
 
-def _penalty_eval(term, w_l, w_r):
+def _penalty(term, w_l, w_r):
+    """(value, gradient, degenerate) of a penalty term; past its guard the
+    fixed ``DEGENERATE_PENALTY`` with a zero gradient."""
     result = term.value_and_gradient(w_l, w_r)
     if result is None:
-        return _degenerate(4 * w_l.size)
-    return CostEval(value=result[0], gradient=result[1])
+        return DEGENERATE_PENALTY, np.zeros(4 * w_l.size), True
+    return result[0], result[1], False
 
 
 def j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None) -> CostEval:
@@ -360,7 +356,7 @@ def j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None) -> CostEval:
         ipd_in = input_ipd(phi_vv, q_l, q_r)
         if ipd_in is None:
             raise InvalidInputError("input noise phase undefined for this bin")
-    return _penalty_eval(_PhaseTerm(phi_vv, ipd_in), w_l, w_r)
+    return CostEval(*_penalty(_PhaseTerm(phi_vv, ipd_in), w_l, w_r))
 
 
 def j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None) -> CostEval:
@@ -369,7 +365,7 @@ def j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None) -> CostEval:
         ic_in = input_ic(phi_vv, q_l, q_r)
         if ic_in is None:
             raise InvalidInputError("input noise coherence undefined for this bin")
-    return _penalty_eval(_CoherenceTerm(phi_vv, ic_in), w_l, w_r)
+    return CostEval(*_penalty(_CoherenceTerm(phi_vv, ic_in), w_l, w_r))
 
 
 def hess_j_w(phi_yy, m):
@@ -403,17 +399,13 @@ class BinObjective:
             self.penalty = _PhaseTerm(phi_vv, cue)
         else:
             self.penalty = _CoherenceTerm(phi_vv, cue)
-        self._flat = np.zeros(self.size)
 
     def _evaluate(self, w_l, w_r):
         value, grad = self.wiener.value_and_gradient(w_l, w_r)
         if self.penalty is None:
             return value, grad, False
-        pen = self.penalty.value_and_gradient(w_l, w_r)
-        degenerate = pen is None
-        if degenerate:
-            pen = (DEGENERATE_PENALTY, self._flat)
-        return value + self.alpha * pen[0], grad + self.alpha * pen[1], degenerate
+        pen, pen_grad, degenerate = _penalty(self.penalty, w_l, w_r)
+        return value + self.alpha * pen, grad + self.alpha * pen_grad, degenerate
 
     def __call__(self, x):
         """(value, gradient) at the packed real parameter vector ``x``."""

@@ -19,12 +19,14 @@ from the two reference microphones directly: the left and right reference
 channels of the speech and noise tensors, and the reference entries of
 each coherence matrix.  They equal, bit for bit, what the pass-through
 filter pair selecting those microphones would give.
+
+The report's fields are listed once, in :class:`MetricsReport`.  This
+module builds ``metrics.json`` and ``ic_spectrum.csv``; ``wavio`` writes them.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .spatial_stats import (
     wrap_angle,
 )
 from .stft import SpectralTensor
+from .wavio import write_csv, write_json
 
 # One-third-octave band centers (Hz) and importance weights of the speech
 # intelligibility index family; the weights sum to one.
@@ -70,19 +73,12 @@ class MetricsReport:
     ic_magnitude_spectrum: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def to_dict(self):
-        spectrum = [None if not np.isfinite(v) else float(v)
-                    for v in np.atleast_1d(self.ic_magnitude_spectrum)]
-        return {
-            "snr_l": self.snr_l,
-            "snr_r": self.snr_r,
-            "disnr_l": self.disnr_l,
-            "disnr_r": self.disnr_r,
-            "ditd_s": self.ditd_s,
-            "ditd_n": self.ditd_n,
-            "dmsc_s": self.dmsc_s,
-            "dmsc_n": self.dmsc_n,
-            "ic_magnitude_spectrum": spectrum,
-        }
+        """Every field by name; invalid spectrum bins (NaN) become None."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["ic_magnitude_spectrum"] = [
+            None if not np.isfinite(v) else float(v)
+            for v in np.atleast_1d(self.ic_magnitude_spectrum)]
+        return doc
 
 
 def apply_filters(filters: FilterPair, tensor: SpectralTensor) -> SpectralTensor:
@@ -202,14 +198,7 @@ def ic_spectrum_rows(freqs, cues_by_variant):
 
 
 def write_ic_spectrum_csv(path, freqs, cues_by_variant):
-    header, rows = ic_spectrum_rows(freqs, cues_by_variant)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, *ic_spectrum_rows(freqs, cues_by_variant))
 
 
 def _scene_term(scene, key, compute):
@@ -308,6 +297,4 @@ def report_to_json(path, reports, extra=None):
     doc = {"variants": {name: rep.to_dict() for name, rep in reports.items()}}
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

@@ -34,11 +34,15 @@ from .costs import (  # noqa: F401
 )
 from .errors import InvalidInputError
 from .spatial_stats import CoherenceSet, Selector
+from .wavio import write_csv
 
 _LOADING_REL = 1e-10
 # strong-Wolfe constants: sufficient decrease (c1) and curvature (c2)
 _WOLFE_C1 = 1e-4
 _WOLFE_C2 = 0.9
+
+# the paper's operating point: at most 15% worst-ear SNR loss against mwf
+DEFAULT_LOSS_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -230,14 +234,11 @@ def _newton_polish(objective, x, f, g, cfg: SolverConfig):
         if _converged(f, g, cfg):
             best = (x, f, g)
             break
-        hess = objective.hessian(x)
-        if not np.all(np.isfinite(hess)):
+        eig = _floored_eigh(objective.hessian(x))
+        if eig is None:
             break
-        vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
-        floor = max(np.max(np.abs(vals)), 1e-30) * 1e-12
-        vals = np.maximum(np.abs(vals), floor)
+        vals, vecs = eig
         step = -(vecs @ ((vecs.T @ g) / vals))
-        g_norm = np.max(np.abs(g))
         candidate = None
         for damp in (1.0, 0.5, 0.25, 0.1, 0.03):
             x_t = x + damp * step
@@ -261,15 +262,24 @@ def _newton_polish(objective, x, f, g, cfg: SolverConfig):
     return x, f, g, _converged(f, g, cfg)
 
 
-def _inverse_spd(hess):
-    """Inverse of a symmetric matrix with absolute-eigenvalue flooring."""
+def _floored_eigh(hess):
+    """(|eigenvalues| floored at 1e-12 of the largest, eigenvectors) of the
+    symmetric part of ``hess``; None if it is not finite or is zero."""
     if not np.all(np.isfinite(hess)):
         return None
     vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
     top = float(np.max(np.abs(vals)))
     if top <= 0:
         return None
-    vals = np.maximum(np.abs(vals), 1e-12 * top)
+    return np.maximum(np.abs(vals), 1e-12 * top), vecs
+
+
+def _inverse_spd(hess):
+    """Inverse of a symmetric matrix with absolute-eigenvalue flooring."""
+    eig = _floored_eigh(hess)
+    if eig is None:
+        return None
+    vals, vecs = eig
     inv = (vecs / vals) @ vecs.T
     return 0.5 * (inv + inv.T)
 
@@ -436,7 +446,8 @@ def check_loss_fraction(loss_fraction):
 
 
 def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
-                    solver_cfg: SolverConfig = SolverConfig(), loss_fraction=0.15,
+                    solver_cfg: SolverConfig = SolverConfig(),
+                    loss_fraction=DEFAULT_LOSS_FRACTION,
                     grid_lo=1e-3, grid_hi=1e5, grid_points=33, refinements=3):
     """Largest alpha keeping the worst-ear SNR within the allowed dB loss.
 
@@ -504,8 +515,11 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
     return result()
 
 
-SWEEP_COLUMNS = ("alpha", "snr_l_db", "snr_r_db", "disnr_l_db", "disnr_r_db",
-                 "ditd_s", "ditd_n", "dmsc_s", "dmsc_n")
+# sweep column -> MetricsReport field; the first column is the probe's alpha
+_SWEEP_FIELDS = {"snr_l_db": "snr_l", "snr_r_db": "snr_r", "disnr_l_db": "disnr_l",
+                 "disnr_r_db": "disnr_r", "ditd_s": "ditd_s", "ditd_n": "ditd_n",
+                 "dmsc_s": "dmsc_s", "dmsc_n": "dmsc_n"}
+SWEEP_COLUMNS = ("alpha", *_SWEEP_FIELDS)
 
 
 def alpha_sweep(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
@@ -521,17 +535,9 @@ def alpha_sweep(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
     rows = []
     for alpha in alphas:
         _, _, report = _probe(spec, phi, selector, scene, solver_cfg, float(alpha))
-        rows.append({
-            "alpha": float(alpha),
-            "snr_l_db": report.snr_l,
-            "snr_r_db": report.snr_r,
-            "disnr_l_db": report.disnr_l,
-            "disnr_r_db": report.disnr_r,
-            "ditd_s": report.ditd_s,
-            "ditd_n": report.ditd_n,
-            "dmsc_s": report.dmsc_s,
-            "dmsc_n": report.dmsc_n,
-        })
+        row = {"alpha": float(alpha)}
+        row.update((col, getattr(report, f)) for col, f in _SWEEP_FIELDS.items())
+        rows.append(row)
     return rows
 
 
@@ -541,9 +547,6 @@ def write_sweep_csv(path, rows_by_variant):
     ``rows_by_variant`` maps variant name to a row list from
     :func:`alpha_sweep`.
     """
-    lines = ["variant," + ",".join(SWEEP_COLUMNS)]
-    for variant, rows in rows_by_variant.items():
-        for row in rows:
-            lines.append(variant + "," + ",".join(repr(float(row[c])) for c in SWEEP_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("variant", *SWEEP_COLUMNS),
+              ([variant, *(row[c] for c in SWEEP_COLUMNS)]
+               for variant, rows in rows_by_variant.items() for row in rows))

@@ -24,11 +24,17 @@ import numpy as np
 from .errors import InvalidInputError
 from .scene import VadLabels
 from .stft import SpectralTensor, StftConfig
+from .wavio import write_csv
 
 CUE_CUTOFF_HZ = 1500.0
 
 # Scale-free guard for denominators / cross powers: eps * trace(Phi).
 _EPS_REL = 1e-12
+
+
+def in_cue_band(freqs, cue_cutoff):
+    """0 < f <= ``cue_cutoff``: where cues can be valid and penalties apply."""
+    return (freqs > 0.0) & (freqs <= cue_cutoff)
 
 
 def wrap_angle(x):
@@ -150,12 +156,12 @@ def _cues_from_products(num, p_l, p_r, freqs, cue_cutoff):
     eps = _EPS_REL * np.maximum(trace_scale, np.max(trace_scale) * _EPS_REL)
     freqs = np.asarray(freqs, dtype=float)
     powers_ok = (p_l > eps) & (p_r > eps)
-    valid = (freqs > 0.0) & (freqs <= cue_cutoff) & powers_ok & (np.abs(num) > eps)
+    valid = in_cue_band(freqs, cue_cutoff) & powers_ok & (np.abs(num) > eps)
     ipd = np.angle(num)
     with np.errstate(invalid="ignore", divide="ignore"):
         ic = np.where(powers_ok, num / np.sqrt(np.where(powers_ok, p_l * p_r, 1.0)), np.nan)
         itd = np.where(valid, ipd / (2.0 * np.pi * np.where(freqs > 0, freqs, 1.0)), np.nan)
-    return ipd, itd, ic, valid
+    return CueEstimate(ipd=ipd, itd=itd, ic=ic, valid=valid, freqs=freqs)
 
 
 def input_cues(phi_vv, selector: Selector, cfg: StftConfig, cue_cutoff=CUE_CUTOFF_HZ):
@@ -167,8 +173,7 @@ def input_cues(phi_vv, selector: Selector, cfg: StftConfig, cue_cutoff=CUE_CUTOF
     p_r = phi[:, ir, ir].real
     if np.any(p_l < -1e-10 * (p_l + p_r)) or np.any(p_r < -1e-10 * (p_l + p_r)):
         raise InvalidInputError("coherence matrix has negative reference power")
-    ipd, itd, ic, valid = _cues_from_products(num, p_l, p_r, cfg.freqs, cue_cutoff)
-    return CueEstimate(ipd=ipd, itd=itd, ic=ic, valid=valid, freqs=cfg.freqs)
+    return _cues_from_products(num, p_l, p_r, cfg.freqs, cue_cutoff)
 
 
 def output_cues(phi_vv, filters, cfg: StftConfig, cue_cutoff=CUE_CUTOFF_HZ):
@@ -181,20 +186,13 @@ def output_cues(phi_vv, filters, cfg: StftConfig, cue_cutoff=CUE_CUTOFF_HZ):
     num = np.einsum("km,kmn,kn->k", w_l.conj(), phi, w_r)
     p_l = np.einsum("km,kmn,kn->k", w_l.conj(), phi, w_l).real
     p_r = np.einsum("km,kmn,kn->k", w_r.conj(), phi, w_r).real
-    ipd, itd, ic, valid = _cues_from_products(num, p_l, p_r, cfg.freqs, cue_cutoff)
-    return CueEstimate(ipd=ipd, itd=itd, ic=ic, valid=valid, freqs=cfg.freqs)
+    return _cues_from_products(num, p_l, p_r, cfg.freqs, cue_cutoff)
 
 
 def cues_to_csv(path, cues: CueEstimate):
     """One row per bin: frequency, ipd, itd, ic (re/im/abs), validity."""
-    lines = ["bin,freq_hz,ipd_rad,itd_s,ic_re,ic_im,ic_abs,valid"]
-    for k in range(cues.ipd.size):
-        ic = cues.ic[k]
-        fields = [
-            float(cues.freqs[k]), float(cues.ipd[k]), float(cues.itd[k]),
-            float(ic.real), float(ic.imag), float(abs(ic)),
-        ]
-        lines.append(f"{k}," + ",".join(repr(v) for v in fields)
-                     + f",{int(cues.valid[k])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = zip(cues.freqs, cues.ipd, cues.itd, cues.ic, cues.valid)
+    write_csv(path, ["bin", "freq_hz", "ipd_rad", "itd_s", "ic_re", "ic_im", "ic_abs",
+                     "valid"],
+              ([k, f, ipd, itd, ic.real, ic.imag, abs(ic), int(valid)]
+               for k, (f, ipd, itd, ic, valid) in enumerate(columns)))

@@ -1,8 +1,15 @@
-"""WAV read/write limited to 16-bit integer and 32-bit float PCM.
+"""Every artifact file: WAV audio, CSV tables and JSON documents.
 
-No resampling is performed anywhere in the package: a sample-rate mismatch
-between a file and the processing configuration is an error.
+WAV is 16-bit integer or 32-bit float PCM, never resampled: a sample-rate
+mismatch between a file and the configuration is an error.  A CSV cell is
+text as given, a Python int in decimal, else ``repr(float(v))``.  JSON is
+indented by two with sorted keys and a closing newline, and a non-finite
+float is written as ``null`` (RFC 8259).  Callers build rows and documents;
+only this module decides their bytes.
 """
+
+import json
+import math
 
 import numpy as np
 from scipy.io import wavfile
@@ -55,3 +62,31 @@ def write_wav(path, data, rate, encoding="float32"):
         wavfile.write(path, int(rate), np.round(clipped * 32768.0).astype(np.int16))
     else:
         raise InvalidInputError(f"unsupported encoding {encoding!r}")
+
+
+def _cell(value):
+    if isinstance(value, (str, int)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_csv(path, header, rows):
+    """Write the header line, then one comma-separated line per row."""
+    with open(path, "w") as fh:
+        for row in [header, *rows]:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def write_json(path, doc):
+    """Write ``doc`` as indented, key-sorted JSON; non-finite floats as null."""
+    with open(path, "w") as fh:
+        json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")

@@ -116,6 +116,19 @@ class TestConfigParsing:
         assert_rejected(tmp_path, speech_wav, capsys, command,
                         f"run.variants = mwf-itd, mwf-ic\n{line}", key)
 
+    # rejected before any audio is read; a section's values are checked
+    # together, so an error there names the section
+    @pytest.mark.parametrize("line, key", [
+        ("array.mics_per_ear = 0", "array"),
+        ("stft.hop = 48", "stft"),
+        ("solver.max_iterations = 0", "solver"),
+        ("scene.noise_distance = -1", "scene"),
+        ("run.variants = mwf-ic, mwf-ic\nrun.alpha = 40", "run.variants"),
+    ], ids=["array", "stft", "solver", "scene", "duplicate variant"])
+    def test_invalid_value_names_key_or_section(self, tmp_path, speech_wav, capsys,
+                                                no_scene, line, key):
+        assert_rejected(tmp_path, speech_wav, capsys, "process", line, key)
+
     def test_noise_ir_channel_count_checked(self, tmp_path, speech_wav, capsys):
         ir_wav = tmp_path / "noise_ir.wav"
         wavio.write_wav(ir_wav, np.eye(2, 16), StftConfig().sample_rate)
@@ -176,6 +189,20 @@ class TestProcess:
         assert "mwf" in doc["variants"]
         assert doc["worst_ear"] == "right"
         assert doc["input"]["snr_r"] == pytest.approx(0.0, abs=0.1)
+
+    def test_metrics_json_is_standard_json_without_noise(self, tmp_path, speech_wav):
+        # no noise: the SNRs are infinite and the noise cue errors undefined
+        out = tmp_path / "out"
+        conf = write_config(tmp_path / "c.conf", speech_wav, out,
+                            extra="scene.target_snr_worst_ear = inf")
+        assert cli.main(["process", "--config", str(conf)]) == cli.EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"{token} is not standard JSON")
+
+        doc = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+        assert doc["input"]["snr_l"] is None
+        assert doc["variants"]["mwf"]["ditd_n"] is None
 
     def test_enhanced_audio_is_stereo_and_rate_matched(self, tmp_path, speech_wav):
         out = tmp_path / "out"
