@@ -16,17 +16,28 @@ difference.  When the output noise power collapses below the scale-free
 guard the penalties return a fixed large value with zero gradient so the
 Wiener gradient keeps line searches finite near w = 0.
 
-Each term is one class whose constructor computes the filter-independent
-parts of a bin.  A penalty term builds its parameter derivatives once per
-evaluation, as whole 4M vectors, and its gradient and Hessian both read
-them.  The public functions build a term per call; :class:`BinObjective`
-keeps them across an optimizer's evaluations.  Both run the same
-floating-point operations in the same order, so their results are bitwise
-equal.
+One stacked kernel evaluates every cost.  Each term is a class whose
+constructor computes the filter-independent parts of B bins (lanes)
+stacked on a leading axis, and whose value and gradient come from stacked
+numpy operations over all lanes at once.  :class:`BinObjective` combines
+them for an optimizer's lanes; the one-bin functions (``j_w``, ``j_ipd``,
+``j_ic``, ``combined``) run the kernel with B = 1.  A penalty term builds
+its parameter derivatives once per evaluation, as whole 4M vectors, and
+its gradient and its one-lane Hessian both read them.
+
+Each lane runs the same floating-point operations, in the same order, as
+an evaluation of its bin alone, so its result does not depend on B or on
+the other lanes: every matrix-vector and dot product is a stacked matmul
+(Phi_yy and Phi_vv products summed in order, see ``_mv``); a complex
+divided by a float is divided part by part as Python does; a complex
+modulus is ``np.hypot``; and a squared modulus uses Python's float power,
+lane by lane.  A degenerate lane gets its fixed penalty and zero gradient
+without touching the others.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,24 +122,64 @@ def _realify(mat):
     return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
 
 
-def _noise_products(w_l, w_r, phi_vv):
-    c_l = phi_vv @ w_l
-    c_r = phi_vv @ w_r
-    w_l_conj = w_l.conj()
-    u = complex(w_l_conj @ c_r)
-    p_l = float((w_l_conj @ c_l).real)
-    p_r = float((w_r.conj() @ c_r).real)
-    return c_l, c_r, u, p_l, p_r
+def _gapped(mats):
+    """Matrices (B, M, M) stored with a gap after every entry, for ``_mv``."""
+    out = np.zeros(mats.shape[:-1] + (2 * mats.shape[-1],), dtype=complex)
+    out[..., ::2] = mats
+    return out
+
+
+def _pair(w_l, w_r):
+    """The filter pair (1, 2, M) of one lane with filters (M,)."""
+    return np.stack([w_l, w_r])[None]
+
+
+def _unpack_pairs(x):
+    """Filter pairs (B, 2, M), [w_l; w_r] per lane, of packed parameter
+    rows (B, 4M)."""
+    x = x.reshape(x.shape[0], 2, 2, -1)
+    return x[:, :, 0] + 1j * x[:, :, 1]
+
+
+def _pack_pairs(w):
+    """Packed parameter rows (B, 4M) of filter pairs (B, 2, M)."""
+    return np.stack([w.real, w.imag], axis=2).reshape(w.shape[0], -1)
+
+
+def _mv(gapped, w):
+    """Products Phi w_e (B, 2, M) of gapped matrices (B, M, 2M) and filter
+    pairs (B, 2, M), one matrix-vector product per filter.
+
+    The gaps keep numpy's matmul from handing the products to BLAS, so each
+    entry is summed in order, exactly as numpy's per-bin ``Phi @ w`` does on
+    the coherence estimator's Phi_yy and Phi_vv, whose bin axis is
+    innermost.  Results therefore do not depend on the callers' layout.
+    """
+    return (gapped[:, None, :, ::2] @ w[..., None])[..., 0]
+
+
+def _dots(a, b):
+    """Unconjugated dot products of the rows of two (..., M) stacks."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _noise_products(w, phi_vv):
+    """c = Phi w_e (B, 2, M), u = w_l^H Phi w_r and the output powers p_l,
+    p_r of B lanes."""
+    c = _mv(phi_vv, w)
+    # [e, f] = w_e^H Phi w_f
+    cross = _dots(w.conj()[:, :, None, :], c[:, None, :, :])
+    return c, cross[:, 0, 1], cross[:, 0, 0].real, cross[:, 1, 1].real
 
 
 def _noise_eps(phi_vv):
-    """Scale-free guard on output noise powers and cross power."""
-    return _EPS_REL * float(np.trace(phi_vv).real)
+    """Scale-free guard on output noise powers and cross power, per lane."""
+    return _EPS_REL * np.trace(phi_vv, axis1=-2, axis2=-1).real
 
 
 def _u_gradient(c_l, c_r):
     """Complex derivative of u = w_l^H Phi w_r over the real parameters."""
-    return np.concatenate([c_r, -1j * c_r, c_l.conj(), 1j * c_l.conj()])
+    return np.concatenate([c_r, -1j * c_r, c_l.conj(), 1j * c_l.conj()], axis=-1)
 
 
 def _u_hessian(phi_vv):
@@ -142,134 +193,158 @@ def _u_hessian(phi_vv):
     return u2
 
 
+def _live_lanes(live, *arrays):
+    """Each stacked array restricted to the ``live`` lanes."""
+    if live.all():
+        return arrays
+    return tuple(a[live] for a in arrays)
+
+
+def _guarded(live, values, grads):
+    """(values, gradients, degenerate) of all lanes from the live lanes'
+    results: past the guard, ``DEGENERATE_PENALTY`` with a zero gradient."""
+    if live.all():
+        return values, grads, ~live
+    all_values = np.full(live.size, DEGENERATE_PENALTY)
+    all_grads = np.zeros((live.size, grads.shape[1]))
+    all_values[live] = values
+    all_grads[live] = grads
+    return all_values, all_grads, ~live
+
+
+def _take(term, lanes):
+    """A copy of ``term`` holding only the listed lanes of its arrays."""
+    sub = copy.copy(term)
+    for name, value in vars(term).items():
+        setattr(sub, name, value[lanes])
+    return sub
+
+
 class _WienerTerm:
-    """Wiener cost of one bin; Pxx q_e and q_e' Pxx q_e are built once."""
+    """Wiener cost of B lanes; Pxx q_e and q_e' Pxx q_e are built once."""
 
     def __init__(self, phi_xx, phi_yy, q_l, q_r):
         m = q_l.size
-        if phi_xx.shape != (m, m) or phi_yy.shape != (m, m):
+        if phi_xx.shape[1:] != (m, m) or phi_yy.shape[1:] != (m, m):
             raise InvalidInputError("dimension mismatch in Wiener cost")
-        self.phi_yy = phi_yy
-        self.b_l = phi_xx @ q_l
-        self.b_r = phi_xx @ q_r
-        self.reference_power = (q_l @ self.b_l).real + (q_r @ self.b_r).real
-        self._hessian = None
+        self.phi_yy = _gapped(phi_yy)
+        self.b = np.stack([phi_xx @ q_l, phi_xx @ q_r], axis=1)  # (B, 2, M)
+        power = _dots(np.broadcast_to(np.stack([q_l, q_r]), self.b.shape), self.b).real
+        self.reference_power = power[:, 0] + power[:, 1]
 
-    def value_and_gradient(self, w_l, w_r):
-        b_l, b_r = self.b_l, self.b_r
-        y_l = self.phi_yy @ w_l
-        y_r = self.phi_yy @ w_r
-        w_l_conj = w_l.conj()
-        w_r_conj = w_r.conj()
-        value = float(
+    def value_and_gradient(self, w):
+        y = _mv(self.phi_yy, w)
+        w_conj = w.conj()
+        wb = _dots(w_conj, self.b).real
+        wy = _dots(w_conj, y).real
+        value = (
             self.reference_power
-            - 2.0 * (w_l_conj @ b_l).real
-            - 2.0 * (w_r_conj @ b_r).real
-            + (w_l_conj @ y_l).real
-            + (w_r_conj @ y_r).real
+            - 2.0 * wb[:, 0]
+            - 2.0 * wb[:, 1]
+            + wy[:, 0]
+            + wy[:, 1]
         )
-        return value, pack_filters(2.0 * (y_l - b_l), 2.0 * (y_r - b_r))
-
-    def hessian(self):
-        if self._hessian is None:
-            self._hessian = hess_j_w(self.phi_yy, self.phi_yy.shape[0])
-        return self._hessian
+        return value, _pack_pairs(2.0 * (y - self.b))
 
 
 class _PhaseTerm:
-    """Phase penalty of one bin against the input noise phase ``target``.
+    """Phase penalty of B lanes against their input noise phases ``target``.
 
-    ``value_and_gradient`` and ``hessian`` return None on a degenerate bin
-    (an output noise power or the cross power below the guard).
+    A lane is degenerate when an output noise power or the cross power is
+    below the guard; ``hessian`` returns None there.
     """
 
     def __init__(self, phi_vv, target):
-        self.phi_vv = phi_vv
+        self.phi_vv = _gapped(phi_vv)
         self.target = target
         self.eps = _noise_eps(phi_vv)
-        self._u2 = None
 
-    def _derivatives(self, w_l, w_r):
-        """(d, u, c_l, c_r, d(angle u)/d(params)), or None past the guard."""
-        c_l, c_r, u, p_l, p_r = _noise_products(w_l, w_r, self.phi_vv)
+    def _derivatives(self, w):
+        """(live, d, u, c, d(angle u)/d(params)), all but ``live`` restricted
+        to the lanes inside the guard."""
+        c, u, p_l, p_r = _noise_products(w, self.phi_vv)
         eps = self.eps
-        if p_l <= eps or p_r <= eps or abs(u) <= eps:
-            return None
-        d = float(wrap_angle(np.angle(u) - self.target))
+        live = ~((p_l <= eps) | (p_r <= eps) | (np.hypot(u.real, u.imag) <= eps))
+        c, u, target = _live_lanes(live, c, u, self.target)
+        d = wrap_angle(np.angle(u) - target)
         # u = w_l^H Phi w_r is linear in conj(w_l) and w_r, and
         # d(angle u)/dx = Im((du/dx)/u).
-        ru = c_r / u
-        su = c_l.conj() / u
-        return d, u, c_l, c_r, np.concatenate([ru.imag, -ru.real, su.imag, su.real])
+        ru = c[:, 1] / u[:, None]
+        su = c[:, 0].conj() / u[:, None]
+        grad_phi = np.concatenate([ru.imag, -ru.real, su.imag, su.real], axis=1)
+        return live, d, u, c, grad_phi
 
-    def value_and_gradient(self, w_l, w_r):
-        derivatives = self._derivatives(w_l, w_r)
-        if derivatives is None:
-            return None
-        d, _, _, _, grad_phi = derivatives
-        return d * d, 2.0 * d * grad_phi
+    def value_and_gradient(self, w):
+        live, d, _, _, grad_phi = self._derivatives(w)
+        return _guarded(live, d * d, (2.0 * d)[:, None] * grad_phi)
 
-    def hessian(self, w_l, w_r):
-        derivatives = self._derivatives(w_l, w_r)
-        if derivatives is None:
+    def hessian(self, w):
+        """Exact Hessian of a one-lane term, or None past the guard."""
+        live, d, u, c, _ = self._derivatives(w)
+        if not live[0]:
             return None
-        d, u, c_l, c_r, grad_phi = derivatives
-        if self._u2 is None:
-            self._u2 = _u_hessian(self.phi_vv)
-        du = _u_gradient(c_l, c_r)
-        hess_phi = (self._u2 / u).imag - (np.outer(du, du) / (u * u)).imag
+        d, u = float(d[0]), complex(u[0])
+        du = _u_gradient(c[0, 0], c[0, 1])
+        # Im((du/dx)/u) formed from du, not from the gradient's parts: where
+        # an entry of c is exactly zero, -(c_r/u).real is -0 but
+        # ((-1j c_r)/u).imag is +0
+        grad_phi = (du / u).imag
+        hess_phi = ((_u_hessian(self.phi_vv[0, :, ::2]) / u).imag
+                    - (np.outer(du, du) / (u * u)).imag)
         return 2.0 * np.outer(grad_phi, grad_phi) + 2.0 * d * hess_phi
 
 
 class _CoherenceTerm:
-    """Coherence penalty of one bin against the input noise coherence
-    ``target``; None from ``value_and_gradient``/``hessian`` when an output
-    noise power is below the guard."""
+    """Coherence penalty of B lanes against their input noise coherences
+    ``target``; a lane is degenerate when an output noise power is below the
+    guard, and ``hessian`` returns None there."""
 
     def __init__(self, phi_vv, target):
-        self.phi_vv = phi_vv
+        self.phi_vv = _gapped(phi_vv)
         self.target = target
         self.eps = _noise_eps(phi_vv)
-        self.zeros = np.zeros(2 * phi_vv.shape[0])
-        self._hessian_parts = None
 
-    def _derivatives(self, w_l, w_r):
-        """(u, p_l, p_r, du, dp_l, dp_r) over the real parameters, or None
-        past the guard; dp_e is the derivative of the output power p_e."""
-        c_l, c_r, u, p_l, p_r = _noise_products(w_l, w_r, self.phi_vv)
-        if p_l <= self.eps or p_r <= self.eps:
-            return None
-        zeros = self.zeros
-        dp_l = np.concatenate([2 * c_l.real, 2 * c_l.imag, zeros])
-        dp_r = np.concatenate([zeros, 2 * c_r.real, 2 * c_r.imag])
-        return u, p_l, p_r, _u_gradient(c_l, c_r), dp_l, dp_r
+    def _derivatives(self, w):
+        """(live, u, p_l, p_r, du, dp_l, dp_r, target) over the real
+        parameters, all but ``live`` restricted to the lanes inside the
+        guard; dp_e is the derivative of the output power p_e."""
+        c, u, p_l, p_r = _noise_products(w, self.phi_vv)
+        live = ~((p_l <= self.eps) | (p_r <= self.eps))
+        c, u, p_l, p_r, target = _live_lanes(live, c, u, p_l, p_r, self.target)
+        c_l, c_r = c[:, 0], c[:, 1]
+        zeros = np.zeros((u.size, 2 * c.shape[2]))
+        dp_l = np.concatenate([2 * c_l.real, 2 * c_l.imag, zeros], axis=1)
+        dp_r = np.concatenate([zeros, 2 * c_r.real, 2 * c_r.imag], axis=1)
+        return live, u, p_l, p_r, _u_gradient(c_l, c_r), dp_l, dp_r, target
 
-    def value_and_gradient(self, w_l, w_r):
-        derivatives = self._derivatives(w_l, w_r)
-        if derivatives is None:
-            return None
-        u, p_l, p_r, du, dp_l, dp_r = derivatives
+    def value_and_gradient(self, w):
+        live, u, p_l, p_r, du, dp_l, dp_r, target = self._derivatives(w)
         den = np.sqrt(p_l * p_r)
-        g = u / den - self.target
+        # g = u / den - target, dividing as Python's complex / float does
+        g = np.empty(u.shape, dtype=complex)
+        g.real = (u.real + u.imag * 0.0) / den - target.real
+        g.imag = (u.imag - u.real * 0.0) / den - target.imag
         # dic_out = [du - u (dp_l/(2 p_l) + dp_r/(2 p_r))] / den, and
         # dvalue = 2 Re(conj(g) dic_out).
-        dic = (du - u * (dp_l / (2 * p_l) + dp_r / (2 * p_r))) / den
-        return float(abs(g) ** 2), 2.0 * (np.conj(g) * dic).real
+        dic = (du - u[:, None] * (dp_l / (2 * p_l)[:, None] + dp_r / (2 * p_r)[:, None])
+               ) / den[:, None]
+        # |g|^2 squares with Python's float power, lane by lane
+        values = np.array([modulus**2 for modulus in np.hypot(g.real, g.imag).tolist()])
+        return _guarded(live, values, 2.0 * (np.conj(g)[:, None] * dic).real)
 
-    def hessian(self, w_l, w_r):
-        derivatives = self._derivatives(w_l, w_r)
-        if derivatives is None:
+    def hessian(self, w):
+        """Exact Hessian of a one-lane term, or None past the guard."""
+        live, u, p_l, p_r, du, dp_l, dp_r, target = self._derivatives(w)
+        if not live[0]:
             return None
-        u, p_l, p_r, du, dp_l, dp_r = derivatives
-        if self._hessian_parts is None:
-            m = self.phi_vv.shape[0]
-            quad = 2.0 * _realify(self.phi_vv)
-            pl_h = np.zeros((4 * m, 4 * m))
-            pl_h[: 2 * m, : 2 * m] = quad
-            pr_h = np.zeros((4 * m, 4 * m))
-            pr_h[2 * m :, 2 * m :] = quad
-            self._hessian_parts = (pl_h, pr_h, _u_hessian(self.phi_vv))
-        pl_h, pr_h, u2 = self._hessian_parts
+        u, p_l, p_r, target = complex(u[0]), float(p_l[0]), float(p_r[0]), complex(target[0])
+        du, dp_l, dp_r = du[0], dp_l[0], dp_r[0]
+        m = self.phi_vv.shape[1]
+        quad = 2.0 * _realify(self.phi_vv[0, :, ::2])
+        pl_h = np.zeros((4 * m, 4 * m))
+        pl_h[: 2 * m, : 2 * m] = quad
+        pr_h = np.zeros((4 * m, 4 * m))
+        pr_h[2 * m :, 2 * m :] = quad
         s = 1.0 / np.sqrt(p_l * p_r)
         t_vec = dp_l / p_l + dp_r / p_r
         s_vec = -0.5 * s * t_vec
@@ -281,8 +356,9 @@ class _CoherenceTerm:
             )
         )
         ic_vec = du * s + u * s_vec
-        ic_h = u2 * s + np.outer(du, s_vec) + np.outer(s_vec, du) + u * s_h
-        g = u * s - self.target
+        ic_h = (_u_hessian(self.phi_vv[0, :, ::2]) * s + np.outer(du, s_vec)
+                + np.outer(s_vec, du) + u * s_h)
+        g = u * s - target
         return (
             2.0 * np.outer(ic_vec, ic_vec.conj()).real
             + 2.0 * (np.conj(g) * ic_h).real
@@ -334,20 +410,15 @@ def _check_filter_sizes(w_l, w_r, m):
         raise InvalidInputError("dimension mismatch in Wiener cost")
 
 
+def _first_lane(values, grads, degenerate=(False,)) -> CostEval:
+    return CostEval(value=float(values[0]), gradient=grads[0], degenerate=bool(degenerate[0]))
+
+
 def j_w(w_l, w_r, phi_xx, phi_yy, q_l, q_r) -> CostEval:
     """Binaural Wiener cost and gradient for one bin."""
     _check_filter_sizes(w_l, w_r, q_l.size)
-    value, grad = _WienerTerm(phi_xx, phi_yy, q_l, q_r).value_and_gradient(w_l, w_r)
-    return CostEval(value=value, gradient=grad)
-
-
-def _penalty(term, w_l, w_r):
-    """(value, gradient, degenerate) of a penalty term; past its guard the
-    fixed ``DEGENERATE_PENALTY`` with a zero gradient."""
-    result = term.value_and_gradient(w_l, w_r)
-    if result is None:
-        return DEGENERATE_PENALTY, np.zeros(4 * w_l.size), True
-    return result[0], result[1], False
+    term = _WienerTerm(phi_xx[None], phi_yy[None], q_l, q_r)
+    return _first_lane(*term.value_and_gradient(_pair(w_l, w_r)))
 
 
 def j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None) -> CostEval:
@@ -356,7 +427,8 @@ def j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None) -> CostEval:
         ipd_in = input_ipd(phi_vv, q_l, q_r)
         if ipd_in is None:
             raise InvalidInputError("input noise phase undefined for this bin")
-    return CostEval(*_penalty(_PhaseTerm(phi_vv, ipd_in), w_l, w_r))
+    term = _PhaseTerm(phi_vv[None], np.array([ipd_in], dtype=float))
+    return _first_lane(*term.value_and_gradient(_pair(w_l, w_r)))
 
 
 def j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None) -> CostEval:
@@ -365,7 +437,8 @@ def j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None) -> CostEval:
         ic_in = input_ic(phi_vv, q_l, q_r)
         if ic_in is None:
             raise InvalidInputError("input noise coherence undefined for this bin")
-    return CostEval(*_penalty(_CoherenceTerm(phi_vv, ic_in), w_l, w_r))
+    term = _CoherenceTerm(phi_vv[None], np.array([ic_in], dtype=complex))
+    return _first_lane(*term.value_and_gradient(_pair(w_l, w_r)))
 
 
 def hess_j_w(phi_yy, m):
@@ -378,65 +451,82 @@ def hess_j_w(phi_yy, m):
 
 
 class BinObjective:
-    """The combined objective of one bin, with its invariants built once.
+    """The combined objective of B bins (lanes), evaluated in one call.
 
-    Construction settles whether the bin is penalized (``penalty_cue``) and
-    precomputes everything that does not depend on the filters: Pxx q_e,
-    the reference speech power, the noise-power guard and the constant
-    Hessian blocks.  Each evaluation then runs the same floating-point
-    operations, in the same order, as a fresh ``combined`` or
-    ``combined_hessian`` call, so the results are bitwise equal.
+    Construction takes the lanes' matrices stacked on a leading axis and
+    precomputes everything that does not depend on the filters.  The lanes
+    are penalized alike: ``cues`` holds each lane's input cue, or is None for
+    the Wiener cost alone.  ``of_bin`` builds the one-lane objective of a bin
+    and settles whether it is penalized (``penalty_cue``).
     """
 
-    def __init__(self, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz):
+    def __init__(self, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, cues=None):
         self.size = 4 * q_l.size
         self.alpha = spec.alpha
         self.wiener = _WienerTerm(phi_xx, phi_yy, q_l, q_r)
-        cue = penalty_cue(spec, phi_vv, q_l, q_r, freq_hz)
-        if cue is None:
+        if cues is None:
             self.penalty = None
         elif spec.variant == "mwf-itd":
-            self.penalty = _PhaseTerm(phi_vv, cue)
+            self.penalty = _PhaseTerm(phi_vv, np.array(cues, dtype=float))
         else:
-            self.penalty = _CoherenceTerm(phi_vv, cue)
+            self.penalty = _CoherenceTerm(phi_vv, np.array(cues, dtype=complex))
+        self._subset = None  # (lanes, objective of those lanes) last evaluated
 
-    def _evaluate(self, w_l, w_r):
-        value, grad = self.wiener.value_and_gradient(w_l, w_r)
+    @classmethod
+    def of_bin(cls, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz):
+        cue = penalty_cue(spec, phi_vv, q_l, q_r, freq_hz)
+        return cls(phi_xx[None], phi_yy[None], phi_vv[None], q_l, q_r, spec,
+                   None if cue is None else [cue])
+
+    def take(self, lanes):
+        """The objective of the listed lanes alone."""
+        sub = copy.copy(self)
+        sub.wiener = _take(self.wiener, lanes)
+        sub.penalty = None if self.penalty is None else _take(self.penalty, lanes)
+        sub._subset = None
+        return sub
+
+    def evaluate(self, w):
+        """(values, gradients, degenerate) of every lane at filter pairs
+        (B, 2, M)."""
+        values, grads = self.wiener.value_and_gradient(w)
         if self.penalty is None:
-            return value, grad, False
-        pen, pen_grad, degenerate = _penalty(self.penalty, w_l, w_r)
-        return value + self.alpha * pen, grad + self.alpha * pen_grad, degenerate
+            return values, grads, np.zeros(values.shape, dtype=bool)
+        pen, pen_grads, degenerate = self.penalty.value_and_gradient(w)
+        return values + self.alpha * pen, grads + self.alpha * pen_grads, degenerate
 
-    def __call__(self, x):
-        """(value, gradient) at the packed real parameter vector ``x``."""
-        value, grad, _ = self._evaluate(*unpack_filters(x))
-        return value, grad
+    def __call__(self, x, lanes=None):
+        """(values, gradients) at the packed parameter rows ``x``, one per
+        listed lane (every lane if None)."""
+        if lanes is not None and len(lanes) < self.wiener.b.shape[0]:
+            if self._subset is None or self._subset[0] != lanes:
+                self._subset = (lanes, self.take(list(lanes)))
+            return self._subset[1](x)
+        values, grads, _ = self.evaluate(_unpack_pairs(x))
+        return values, grads
 
-    def evaluate(self, w_l, w_r) -> CostEval:
-        _check_filter_sizes(w_l, w_r, self.size // 4)
-        value, grad, degenerate = self._evaluate(w_l, w_r)
-        return CostEval(value=value, gradient=grad, degenerate=degenerate)
+    def hessian(self, x, lane=0):
+        """Exact Hessian of one lane at its packed parameters ``x``."""
+        return self.hessian_at(*unpack_filters(x), lane)
 
-    def hessian_at(self, w_l, w_r):
-        """Exact Hessian; the penalty contributes nothing where degenerate."""
-        base = self.wiener.hessian()
-        if self.penalty is None:
+    def hessian_at(self, w_l, w_r, lane=0):
+        """Exact Hessian of one lane at filters (M,); the penalty contributes
+        nothing where degenerate."""
+        one = self.take([lane])
+        base = hess_j_w(one.wiener.phi_yy[0, :, ::2], self.size // 4)
+        if one.penalty is None:
             return base
-        pen = self.penalty.hessian(w_l, w_r)
+        pen = one.penalty.hessian(_pair(w_l, w_r))
         if pen is None:
             return base
         return base + self.alpha * pen
-
-    def hessian(self, x):
-        """Exact Hessian at the packed real parameter vector ``x``."""
-        return self.hessian_at(*unpack_filters(x))
 
 
 def combined_hessian(
     w_l, w_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz
 ):
     """Exact Hessian of the combined objective (penalty zero where gated)."""
-    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
+    objective = BinObjective.of_bin(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
     return objective.hessian_at(w_l, w_r)
 
 
@@ -446,8 +536,9 @@ def combined(
     """Variant objective for one bin; penalties gate off above the cutoff.
 
     Bins whose input cue is undefined (e.g. no noise) fall back to the
-    Wiener cost alone.  Optimizer loops build a :class:`BinObjective` once
-    per bin instead.
+    Wiener cost alone.  Optimizer loops evaluate a :class:`BinObjective` of
+    all their bins instead.
     """
-    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
-    return objective.evaluate(w_l, w_r)
+    objective = BinObjective.of_bin(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
+    _check_filter_sizes(w_l, w_r, objective.size // 4)
+    return _first_lane(*objective.evaluate(_pair(w_l, w_r)))

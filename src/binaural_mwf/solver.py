@@ -4,8 +4,15 @@ The Wiener objective has the closed-form minimizer w_e = Pyy^-1 Pxx q_e per
 bin.  Penalized variants are minimized with BFGS over the 4M real
 parameters, started from the closed form (the alpha -> 0 optimum), using a
 strong-Wolfe line search so every accepted step decreases the cost and
-keeps the inverse-Hessian update well defined.  Each penalized bin's
-objective (``costs.BinObjective``) is built once per solve.
+keeps the inverse-Hessian update well defined.
+
+All penalized bins of a solve are optimized in lockstep.  BFGS, its line
+search and the Newton polish are lane generators: each yields the point it
+needs evaluated and receives (value, gradient).  Every (bin, start) pair is
+a lane, and each round sends the pending points of all lanes through one
+call of the stacked objective (``costs.BinObjective``), built once per
+solve.  A lane's floating-point operations are those of the bin solved
+alone, so the lockstep changes no result.
 
 Also provides the weighting-factor machinery: log-grid calibration of alpha
 for a bounded worst-ear SNR loss, which returns the solve and metrics made
@@ -15,6 +22,7 @@ feeding the objective metric table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +73,9 @@ class SolverConfig:
             raise InvalidInputError("gradient_tolerance must be positive")
 
 
-def _converged(f, g, cfg: SolverConfig):
-    return np.max(np.abs(g)) <= cfg.gradient_tolerance * max(1.0, abs(f))
+def _converged(f, g_max, cfg: SolverConfig):
+    """Stopping test on the cost and the gradient's infinity norm ``g_max``."""
+    return g_max <= cfg.gradient_tolerance * max(1.0, abs(f))
 
 
 @dataclass
@@ -96,25 +105,50 @@ class BfgsResult:
     converged: bool
 
 
-def _wolfe_line_search(fun, x, p, f0, g0, max_evals=30):
-    """Strong Wolfe search along p; returns (alpha, f, g) or None.
+def _lockstep(fun, lanes):
+    """Run lane generators in lockstep; returns each lane's return value.
+
+    A lane yields the point it needs evaluated and is sent its (value,
+    gradient).  Each round evaluates the pending points of all lanes in one
+    ``fun(x, active)`` call, ``x`` stacking the points of the ``active``
+    lanes (indices into ``lanes``, ascending) as rows.
+    """
+    results = [None] * len(lanes)
+    points = {}
+
+    def advance(i, sent):
+        try:
+            points[i] = lanes[i].send(sent)
+        except StopIteration as stop:
+            points.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(lanes)):
+        advance(i, None)
+    while points:
+        active = tuple(points)
+        values, grads = fun(np.array([points[i] for i in active]), active)
+        for i, value, grad in zip(active, values, grads):
+            advance(i, (float(value), grad))
+    return results
+
+
+def _wolfe_line_search(x, p, f0, d0, max_evals=30):
+    """Strong Wolfe search along p from x, where the cost is f0 and its
+    slope along p is d0; a lane generator returning (alpha, f, g) or None.
 
     Bracket/zoom scheme with bisection; robust rather than fast, which is
     fine for the small per-bin problems here.
     """
-    d0 = float(g0 @ p)
     if d0 >= 0:
         return None
-
-    def phi(alpha):
-        f, g = fun(x + alpha * p)
-        return f, g, float(g @ p)
 
     alpha_prev, f_prev, d_prev = 0.0, f0, d0
     alpha = 1.0
     evals = 0
     while evals < max_evals:
-        f, g, d = phi(alpha)
+        f, g = yield x + alpha * p
+        d = float(g @ p)
         evals += 1
         if f > f0 + _WOLFE_C1 * alpha * d0 or (evals > 1 and f >= f_prev):
             lo, f_lo, d_lo, hi, f_hi = alpha_prev, f_prev, d_prev, alpha, f
@@ -141,7 +175,8 @@ def _wolfe_line_search(fun, x, p, f0, g0, max_evals=30):
             cand = lo - d_lo * width * width / denom
             if min(lo, hi) + 0.1 * abs(width) <= cand <= max(lo, hi) - 0.1 * abs(width):
                 alpha = cand
-        f, g, d = phi(alpha)
+        f, g = yield x + alpha * p
+        d = float(g @ p)
         evals += 1
         if f > f0 + _WOLFE_C1 * alpha * d0 or f >= f_lo:
             hi, f_hi = alpha, f
@@ -158,36 +193,39 @@ def _wolfe_line_search(fun, x, p, f0, g0, max_evals=30):
     return best
 
 
-def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
-    """Minimize ``fun(x) -> (value, gradient)`` with BFGS from x0.
-
-    ``h0`` seeds the inverse-Hessian approximation (identity by default).
-    On a line-search failure the approximation is reset once to the seed
-    before giving up, which un-sticks stale curvature information.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    f, g = fun(x)
+def _bfgs(x, cfg: SolverConfig, h0=None, start=None):
+    """BFGS from x as a lane generator returning a BfgsResult; ``start`` is
+    the (value, gradient) at x if already known."""
+    x = np.asarray(x, dtype=float).copy()
+    f, g = (yield x) if start is None else start
+    g_max = np.abs(g).max()
     seed = np.eye(x.size) if h0 is None else np.asarray(h0, dtype=float)
     h = seed.copy()
     first_update = h0 is None
     iterations = 0
     restarted = False
     while iterations < cfg.max_iterations:
-        if _converged(f, g, cfg):
+        if _converged(f, g_max, cfg):
             return BfgsResult(x, f, g, iterations, True)
         p = -(h @ g)
-        if float(p @ g) >= 0:
+        slope = float(p @ g)
+        if slope >= 0:
             h = seed.copy()
             p = -(h @ g)
-            if float(p @ g) >= 0:
+            slope = float(p @ g)
+            if slope >= 0:
                 p = -g
-        step = _wolfe_line_search(fun, x, p, f, g)
+                slope = float(p @ g)
+        step = yield from _wolfe_line_search(x, p, f, slope)
+        g_new_max = None
         if step is None:
             # near a stationary point cost differences drown in rounding;
             # accept the quasi-Newton step on gradient-norm decrease instead
-            f_t, g_t = fun(x + p)
-            if (np.isfinite(f_t)
-                    and np.max(np.abs(g_t)) < 0.7 * np.max(np.abs(g))
+            f_t, g_t = yield x + p
+            if np.isfinite(f_t):
+                g_new_max = np.abs(g_t).max()
+            if (g_new_max is not None
+                    and g_new_max < 0.7 * g_max
                     and f_t <= f + 1e-9 * max(1.0, abs(f))):
                 step = (1.0, f_t, g_t)
             elif restarted:
@@ -205,23 +243,53 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None) -> BfgsResult:
         if first_update and sy > 0:
             h *= sy / max(float(y @ y), 1e-300)
             first_update = False
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        # the Euclidean norms and outer products as np.linalg.norm and
+        # np.outer form them, without their per-call overhead
+        if sy > 1e-10 * np.sqrt(s.dot(s)) * np.sqrt(y.dot(y)):
             rho = 1.0 / sy
             hy = h @ y
             # H <- (I - rho s y') H (I - rho y s') + rho s s'
-            s_hy = np.outer(s, hy)
+            s_hy = s[:, None] * hy
             h -= rho * (s_hy + s_hy.T)
-            ss = np.outer(s, s)
+            ss = s[:, None] * s
             h += rho * rho * float(y @ hy) * ss
             h += rho * ss
         x = x + s
         f, g = f_new, g_new
+        g_max = np.abs(g).max() if g_new_max is None else g_new_max
         iterations += 1
-    return BfgsResult(x, f, g, iterations, _converged(f, g, cfg))
+    return BfgsResult(x, f, g, iterations, _converged(f, g_max, cfg))
 
 
-def _newton_polish(objective, x, f, g, cfg: SolverConfig):
-    """Drive the gradient norm down with at most 30 damped Newton steps.
+def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None, start=None):
+    """Minimize with BFGS from x0: one lane, or a stack of lanes in lockstep.
+
+    One lane: ``fun(x) -> (value, gradient)`` and ``x0`` a vector; returns a
+    BfgsResult.  A stack: ``x0`` holds one start per row,
+    ``fun(x, lanes) -> (values, gradients)`` evaluates the rows of ``x`` for
+    the listed lanes, ``h0`` and ``start`` hold one entry per lane, and a
+    list of BfgsResults is returned.  Every lane runs the same iteration.
+
+    ``h0`` seeds a lane's inverse-Hessian approximation (identity if None)
+    and ``start`` is its (value, gradient) at x0 if already known.  On a
+    line-search failure the approximation is reset once to the seed before
+    giving up, which un-sticks stale curvature information.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 1:
+        def stacked(x, _):
+            f, g = fun(x[0])
+            return [f], [g]
+
+        return _lockstep(stacked, [_bfgs(x0, cfg, h0, start)])[0]
+    h0 = [None] * len(x0) if h0 is None else h0
+    starts = [None] * len(x0) if start is None else list(zip(*start))
+    return _lockstep(fun, [_bfgs(x, cfg, h, s) for x, h, s in zip(x0, h0, starts)])
+
+
+def _newton_polish(hessian, x, f, g, cfg: SolverConfig):
+    """Drive the gradient norm down with at most 30 damped Newton steps; a
+    lane generator returning (x, f, g, converged).
 
     Line-search descent stalls once cost differences reach the float noise
     floor; near the optimum the gradient is still perfectly informative, so
@@ -229,12 +297,13 @@ def _newton_polish(objective, x, f, g, cfg: SolverConfig):
     Steps are accepted only when they shrink the gradient norm without
     measurably increasing the cost.
     """
-    best = (x, f, g)
+    g_max = np.abs(g).max()
+    best = (x, f, g, g_max)
     for _ in range(30):
-        if _converged(f, g, cfg):
-            best = (x, f, g)
+        if _converged(f, g_max, cfg):
+            best = (x, f, g, g_max)
             break
-        eig = _floored_eigh(objective.hessian(x))
+        eig = _floored_eigh(hessian(x))
         if eig is None:
             break
         vals, vecs = eig
@@ -242,12 +311,12 @@ def _newton_polish(objective, x, f, g, cfg: SolverConfig):
         candidate = None
         for damp in (1.0, 0.5, 0.25, 0.1, 0.03):
             x_t = x + damp * step
-            f_t, g_t = objective(x_t)
+            f_t, g_t = yield x_t
             # The float-noise valley of f does not bottom out exactly at the
             # stationary point; allow cost ties at the 1e-9 relative level.
             if not np.isfinite(f_t) or f_t > f + 1e-9 * max(1.0, abs(f)):
                 continue
-            norm_t = np.max(np.abs(g_t))
+            norm_t = np.abs(g_t).max()
             if candidate is None or norm_t < candidate[3]:
                 candidate = (x_t, f_t, g_t, norm_t)
         # Near the stationary point the iterates hover at the rounding floor
@@ -255,11 +324,11 @@ def _newton_polish(objective, x, f, g, cfg: SolverConfig):
         # local) and report the best iterate seen.
         if candidate is None:
             break
-        x, f, g = candidate[:3]
-        if np.max(np.abs(g)) < np.max(np.abs(best[2])):
-            best = (x, f, g)
-    x, f, g = best
-    return x, f, g, _converged(f, g, cfg)
+        x, f, g, g_max = candidate
+        if g_max < best[3]:
+            best = candidate
+    x, f, g, g_max = best
+    return x, f, g, _converged(f, g_max, cfg)
 
 
 def _floored_eigh(hess):
@@ -322,85 +391,84 @@ def mwf_closed_form(phi: CoherenceSet, selector: Selector):
     return FilterPair(w_l=w[:, 0, :], w_r=w[:, 1, :]), flagged
 
 
-def solve_bin(spec: CostSpec, phi: CoherenceSet, selector: Selector, k,
-              cfg: SolverConfig, w0_l, w0_r):
-    """Optimize one bin from its closed form; returns (w_l, w_r, diagnostics).
-
-    ``(w0_l, w0_r)`` is the bin's closed-form solution (``closed_form_bin``),
-    the alpha -> 0 optimum.  A bin without a penalty (the plain Wiener
-    variant, or a gated-off bin) keeps it; otherwise BFGS starts from it.  A
-    non-finite cost flags the bin and returns the start.
-    """
-    freq = float(phi.freqs[k])
-    phi_xx, phi_yy, phi_vv = phi.phi_xx[k], phi.phi_yy[k], phi.phi_vv[k]
-    q_l, q_r = selector.q_l, selector.q_r
-
-    if penalty_cue(spec, phi_vv, q_l, q_r, freq) is None:
-        ev = combined(w0_l, w0_r, phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq)
-        return w0_l, w0_r, {"cost": ev.value, "iterations": 0,
-                            "converged": True, "flagged": False}
-
-    # invariants of the bin are built once; each call repeats combined's
-    # floating-point operations exactly
-    objective = BinObjective(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq)
-
+def _starts(spec: CostSpec, cue, w0_l, w0_r, phi_vv):
+    """BFGS starts of a penalized bin: its closed form, and for mwf-itd the
+    closed form with the right filter rotated onto the target phase (the
+    phase penalty is non-convex and the aligned basin is often the better
+    one at large weights)."""
     starts = [pack_filters(w0_l, w0_r)]
     if spec.variant == "mwf-itd":
-        # second start with the right filter rotated onto the target phase:
-        # the phase penalty is non-convex and the aligned basin is often the
-        # better one at large weights
         u0 = complex(w0_l.conj() @ phi_vv @ w0_r)
         if abs(u0) > 0:
-            delta = float(np.angle(np.exp(1j * (objective.penalty.target - np.angle(u0)))))
+            delta = float(np.angle(np.exp(1j * (cue - np.angle(u0)))))
             starts.append(pack_filters(w0_l, w0_r * np.exp(1j * delta)))
-
-    f0, _ = objective(starts[0])
-    if not np.isfinite(f0):
-        return w0_l, w0_r, {"cost": f0, "iterations": 0,
-                            "converged": False, "flagged": True}
-    outcome = None
-    total_iterations = 0
-    for x0 in starts:
-        res = minimize_bfgs(objective, x0, cfg, h0=_inverse_spd(objective.hessian(x0)))
-        total_iterations += res.iterations
-        x_fin, f_fin, g_fin, converged = res.x, res.value, res.gradient, res.converged
-        if not converged and np.isfinite(f_fin):
-            x_fin, f_fin, g_fin, converged = _newton_polish(
-                objective, x_fin, f_fin, g_fin, cfg
-            )
-        if not np.isfinite(f_fin):
-            continue
-        if outcome is None or f_fin < outcome[1] - 1e-12 * max(1.0, abs(f_fin)):
-            outcome = (x_fin, f_fin, converged)
-    if outcome is None or outcome[1] > f0:
-        return w0_l, w0_r, {"cost": f0, "iterations": total_iterations,
-                            "converged": False, "flagged": True}
-    w_l, w_r = unpack_filters(outcome[0])
-    return w_l, w_r, {"cost": outcome[1], "iterations": total_iterations,
-                      "converged": outcome[2], "flagged": False}
+    return starts
 
 
 def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
                    cfg: SolverConfig = SolverConfig()) -> SolveResult:
-    """Solve every bin independently and merge results by bin index."""
+    """Solve every bin independently and merge results by bin index.
+
+    Every bin starts from its closed form (``closed_form_bin``), the
+    alpha -> 0 optimum, and a bin without a penalty (the plain Wiener
+    variant, or a gated-off bin) keeps it.  The penalized bins are
+    optimized together: each (bin, start) pair is a lane, and every round
+    of the lockstep evaluates all lanes' pending points in one call of the
+    stacked objective.  A lane's floating-point operations do not depend on
+    the other lanes, so each bin's result is that of a solve of the bin
+    alone.  A non-finite cost at the closed form flags the bin and keeps
+    it; so does a best outcome costlier than the closed form.
+    """
     k_bins = phi.bin_count
     init, init_flags = mwf_closed_form(phi, selector)
     w_l = np.array(init.w_l, copy=True)
     w_r = np.array(init.w_r, copy=True)
     cost = np.zeros(k_bins)
     iterations = np.zeros(k_bins, dtype=int)
-    converged = np.ones(k_bins, dtype=bool)
+    converged = ~init_flags
     flagged = init_flags.copy()
-    for k in range(k_bins):
-        if flagged[k]:
-            converged[k] = False
+    q_l, q_r = selector.q_l, selector.q_r
+    lane_bins, cues, starts = [], [], []
+    for k in np.flatnonzero(~flagged):
+        freq = float(phi.freqs[k])
+        phi_xx, phi_yy, phi_vv = phi.phi_xx[k], phi.phi_yy[k], phi.phi_vv[k]
+        cue = penalty_cue(spec, phi_vv, q_l, q_r, freq)
+        if cue is None:
+            cost[k] = combined(init.w_l[k], init.w_r[k], phi_xx, phi_yy, phi_vv,
+                               q_l, q_r, spec, freq).value
             continue
-        wl, wr, diag = solve_bin(spec, phi, selector, k, cfg, init.w_l[k], init.w_r[k])
-        w_l[k], w_r[k] = wl, wr
-        cost[k] = diag["cost"]
-        iterations[k] = diag["iterations"]
-        converged[k] = diag["converged"]
-        flagged[k] = flagged[k] or diag["flagged"]
+        for x0 in _starts(spec, cue, init.w_l[k], init.w_r[k], phi_vv):
+            lane_bins.append(k)
+            cues.append(cue)
+            starts.append(x0)
+    if lane_bins:
+        lanes = np.array(lane_bins)
+        objective = BinObjective(phi.phi_xx[lanes], phi.phi_yy[lanes], phi.phi_vv[lanes],
+                                 q_l, q_r, spec, cues)
+        x0 = np.array(starts)
+        # one round at every start: each bin's finiteness check at its closed
+        # form, and the first (f, g) of BFGS
+        f0, g0 = objective(x0)
+        f0 = f0.tolist()
+        groups = np.split(np.arange(lanes.size), np.flatnonzero(np.diff(lanes)) + 1)
+        run = [j for group in groups if np.isfinite(f0[group[0]]) for j in group]
+        finals = dict(zip(run, _optimize_lanes(
+            objective.take(run), x0[run], ([f0[j] for j in run], [g0[j] for j in run]), cfg)))
+        for group in groups:
+            k = lane_bins[group[0]]
+            outcome = None
+            for x_fin, f_fin, lane_converged, lane_iterations in (
+                    finals[j] for j in group if j in finals):
+                iterations[k] += lane_iterations
+                if not np.isfinite(f_fin):
+                    continue
+                if outcome is None or f_fin < outcome[1] - 1e-12 * max(1.0, abs(f_fin)):
+                    outcome = (x_fin, f_fin, lane_converged)
+            if outcome is None or outcome[1] > f0[group[0]]:
+                cost[k], converged[k], flagged[k] = f0[group[0]], False, True
+            else:
+                w_l[k], w_r[k] = unpack_filters(outcome[0])
+                cost[k], converged[k] = outcome[1], outcome[2]
     return SolveResult(
         filters=FilterPair(w_l=w_l, w_r=w_r),
         cost=cost,
@@ -408,6 +476,25 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
         converged=converged,
         flagged=flagged,
     )
+
+
+def _optimize_lanes(objective, x0, start, cfg: SolverConfig):
+    """Minimize every lane of ``objective`` from its row of ``x0``, where
+    ``start`` holds the (values, gradients): BFGS in lockstep, then a
+    lockstep Newton polish of the lanes it leaves unconverged at a finite
+    cost.  Returns (x, f, converged, BFGS iterations) per lane."""
+    h0 = [_inverse_spd(objective.hessian(x, j)) for j, x in enumerate(x0)]
+    results = minimize_bfgs(objective, x0, cfg, h0, start)
+    short = [j for j, res in enumerate(results)
+             if not res.converged and np.isfinite(res.value)]
+    polished = _lockstep(
+        lambda x, active: objective(x, tuple(short[a] for a in active)),
+        [_newton_polish(functools.partial(objective.hessian, lane=j), results[j].x,
+                        results[j].value, results[j].gradient, cfg) for j in short])
+    finals = [(res.x, res.value, res.converged, res.iterations) for res in results]
+    for j, (x, f, _, converged) in zip(short, polished):
+        finals[j] = (x, f, converged, results[j].iterations)
+    return finals
 
 
 @dataclass
@@ -470,8 +557,8 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
         return CalibrationResult(alpha=0.0, achieved_loss=0.0,
                                  snr_mwf_db=snr_mwf, snr_db=snr_mwf,
                                  solve=reference[0], report=reference[1])
-    if snr_mwf <= 0:
-        raise InvalidInputError("worst-ear reference SNR is not positive; "
+    if not (np.isfinite(snr_mwf) and snr_mwf > 0):
+        raise InvalidInputError("worst-ear reference SNR is not finite and positive; "
                                 "cannot express a fractional loss")
     floor = (1.0 - loss_fraction) * snr_mwf
     best = [0.0, snr_mwf, *reference]  # largest feasible alpha probed, its outcome

@@ -356,3 +356,15 @@ class TestCalibrateCommand:
         rec = doc["variants"]["mwf-ic"]
         assert rec["alpha"] > 0
         assert rec["achieved_snr_loss"] <= 0.15 + 1e-9
+
+    def test_infinite_reference_snr_rejected(self, tmp_path, speech_wav, capsys):
+        # no noise: the reference SNR is infinite, so no fractional loss of
+        # it can be expressed
+        out = tmp_path / "out"
+        conf = write_config(
+            tmp_path / "c.conf", speech_wav, out,
+            extra="run.variants = mwf-ic\nscene.target_snr_worst_ear = inf",
+        )
+        assert cli.main(["calibrate", "--config", str(conf)]) == cli.EXIT_CONFIG
+        assert "reference SNR is not finite and positive" in capsys.readouterr().err
+        assert not (out / "calibration.json").exists()

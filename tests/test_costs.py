@@ -11,9 +11,9 @@ from binaural_mwf.costs import (
     FilterPair,
     _CoherenceTerm,
     _noise_eps,
-    _noise_products,
     _PhaseTerm,
     _realify,
+    _take,
     _u_gradient,
     _u_hessian,
     combined,
@@ -65,6 +65,11 @@ def check_gradient(cost_fn, w_l, w_r, rel_tol=1e-5):
     scale = np.maximum(np.abs(fd), 1e-3 * max(np.max(np.abs(fd)), 1e-12))
     rel = np.abs(ev.gradient - fd) / scale
     assert np.max(rel) < rel_tol
+
+
+def lane_hessian(term, phi_vv, target, w_l, w_r):
+    """Hessian of a penalty term built for one lane."""
+    return term(phi_vv[None], np.array([target])).hessian(np.stack([w_l, w_r])[None])
 
 
 class TestJW:
@@ -359,13 +364,13 @@ class TestHessians:
                     *unpack_filters(x), phi_vv, sel4.q_l, sel4.q_r
                 ).gradient
                 ipd_in = input_ipd(phi_vv, sel4.q_l, sel4.q_r)
-                hess = _PhaseTerm(phi_vv, ipd_in).hessian(w_l, w_r)
+                hess = lane_hessian(_PhaseTerm, phi_vv, ipd_in, w_l, w_r)
             else:
                 grad = lambda x: j_ic(
                     *unpack_filters(x), phi_vv, sel4.q_l, sel4.q_r
                 ).gradient
                 ic_in = input_ic(phi_vv, sel4.q_l, sel4.q_r)
-                hess = _CoherenceTerm(phi_vv, ic_in).hessian(w_l, w_r)
+                hess = lane_hessian(_CoherenceTerm, phi_vv, ic_in, w_l, w_r)
             x0 = pack_filters(w_l, w_r)
             n = x0.size
             step = 1e-6
@@ -400,10 +405,10 @@ class TestPenaltyProperties:
         if case == "near collapse":
             # scale u to about ic_out * sqrt(p_l p_r); p_r moves little, so the
             # output |IC| lands near ic_out (1.06e-3 to 0.94 over 600 seeds)
-            _, _, u, p_l, p_r = _noise_products(w_l, w_r, phi_vv)
+            _, _, u, p_l, p_r = _parent_noise_products(w_l, w_r, phi_vv)
             w_r = shrink_cross_power(w_l, w_r, phi_vv,
                                      ic_out * np.sqrt(p_l * p_r) / abs(u))
-        c_l, c_r, u, _, _ = _noise_products(w_l, w_r, phi_vv)
+        c_l, c_r, u, _, _ = _parent_noise_products(w_l, w_r, phi_vv)
         if which == "j_ipd":
             # central differences must not straddle the phase wrap
             d = wrap_angle(np.angle(u) - input_ipd(phi_vv, sel.q_l, sel.q_r))
@@ -417,7 +422,7 @@ class TestPenaltyProperties:
         def grad(x):
             return term(*unpack_filters(x), phi_vv, sel.q_l, sel.q_r).gradient
 
-        hess = penalty(phi_vv, input_cue(phi_vv, sel.q_l, sel.q_r)).hessian(w_l, w_r)
+        hess = lane_hessian(penalty, phi_vv, input_cue(phi_vv, sel.q_l, sel.q_r), w_l, w_r)
         x0 = pack_filters(w_l, w_r)
         n = x0.size
         fd = np.empty((n, n))
@@ -488,7 +493,8 @@ class TestBinObjective:
             phi_vv = random_psd(rng, m)
         phi_yy = phi_xx + phi_vv
         spec = CostSpec(variant, alpha)
-        objective = BinObjective(phi_xx, phi_yy, phi_vv, sel.q_l, sel.q_r, spec, freq)
+        objective = BinObjective.of_bin(phi_xx, phi_yy, phi_vv, sel.q_l, sel.q_r, spec,
+                                        freq)
         cue = penalty_cue(spec, phi_vv, sel.q_l, sel.q_r, freq)
         assert (objective.penalty is None) == (cue is None)
         if case == "zero noise":
@@ -508,9 +514,9 @@ class TestBinObjective:
                 value = base.value + alpha * pen.value
                 grad = base.gradient + alpha * pen.gradient
             x = pack_filters(w_l, w_r)
-            got_value, got_grad = objective(x)
-            assert np.array_equal(got_value, value, equal_nan=True)
-            assert np.array_equal(got_grad, grad, equal_nan=True)
+            got_value, got_grad = objective(x[None])
+            assert np.array_equal(got_value, [value], equal_nan=True)
+            assert np.array_equal(got_grad, [grad], equal_nan=True)
             one_shot = combined(w_l, w_r, phi_xx, phi_yy, phi_vv, sel.q_l, sel.q_r,
                                 spec, freq)
             assert np.array_equal(one_shot.value, value, equal_nan=True)
@@ -538,6 +544,55 @@ class TestBinObjective:
                            500.0) is None
 
 
+def _parent_noise_products(w_l, w_r, phi_vv):
+    """Frozen copy of the per-bin noise products the frozen terms below
+    were written against (the program now forms them for stacked lanes)."""
+    c_l = phi_vv @ w_l
+    c_r = phi_vv @ w_r
+    w_l_conj = w_l.conj()
+    u = complex(w_l_conj @ c_r)
+    p_l = float((w_l_conj @ c_l).real)
+    p_r = float((w_r.conj() @ c_r).real)
+    return c_l, c_r, u, p_l, p_r
+
+
+class _ParentWienerTerm:
+    """Frozen copy of the per-bin Wiener term before the terms were stacked."""
+
+    def __init__(self, phi_xx, phi_yy, q_l, q_r):
+        self.phi_yy = phi_yy
+        self.b_l = phi_xx @ q_l
+        self.b_r = phi_xx @ q_r
+        self.reference_power = (q_l @ self.b_l).real + (q_r @ self.b_r).real
+
+    def value_and_gradient(self, w_l, w_r):
+        b_l, b_r = self.b_l, self.b_r
+        y_l = self.phi_yy @ w_l
+        y_r = self.phi_yy @ w_r
+        w_l_conj = w_l.conj()
+        w_r_conj = w_r.conj()
+        value = float(
+            self.reference_power
+            - 2.0 * (w_l_conj @ b_l).real
+            - 2.0 * (w_r_conj @ b_r).real
+            + (w_l_conj @ y_l).real
+            + (w_r_conj @ y_r).real
+        )
+        grad_l, grad_r = 2.0 * (y_l - b_l), 2.0 * (y_r - b_r)
+        return value, np.concatenate([grad_l.real, grad_l.imag, grad_r.real, grad_r.imag])
+
+
+def _parent_combined(wiener, penalty, alpha, w_l, w_r):
+    """Frozen copy of the per-bin combined evaluation: Wiener term plus
+    alpha times the penalty, or DEGENERATE_PENALTY with a zero gradient
+    past the guard."""
+    value, grad = wiener.value_and_gradient(w_l, w_r)
+    result = penalty.value_and_gradient(w_l, w_r)
+    if result is None:
+        result = DEGENERATE_PENALTY, np.zeros(4 * w_l.size)
+    return value + alpha * result[0], grad + alpha * result[1]
+
+
 class _ParentPhaseTerm:
     """Frozen copy of the phase term before its derivatives were shared:
     a written-out gradient and a Hessian that forms Im((du/dx)/u) again."""
@@ -548,7 +603,7 @@ class _ParentPhaseTerm:
         self.eps = _noise_eps(phi_vv)
 
     def _products(self, w_l, w_r):
-        c_l, c_r, u, p_l, p_r = _noise_products(w_l, w_r, self.phi_vv)
+        c_l, c_r, u, p_l, p_r = _parent_noise_products(w_l, w_r, self.phi_vv)
         eps = self.eps
         if p_l <= eps or p_r <= eps or abs(u) <= eps:
             return None
@@ -594,7 +649,7 @@ class _ParentCoherenceTerm:
         self.zero = np.zeros(phi_vv.shape[0])
 
     def _products(self, w_l, w_r):
-        products = _noise_products(w_l, w_r, self.phi_vv)
+        products = _parent_noise_products(w_l, w_r, self.phi_vv)
         if products[3] <= self.eps or products[4] <= self.eps:
             return None
         return products
@@ -658,6 +713,15 @@ class _ParentCoherenceTerm:
         )
 
 
+def bin_innermost(mat):
+    """``mat`` laid out as one bin of the coherence estimator's Phi_yy and
+    Phi_vv, whose bin axis is innermost: a strided view, which numpy's
+    matmul multiplies without BLAS."""
+    out = np.empty(mat.shape + (2,), dtype=complex)
+    out[..., 0] = mat
+    return out[..., 0]
+
+
 def assert_bitwise_equal(got, want):
     if want is None:
         assert got is None
@@ -668,39 +732,90 @@ def assert_bitwise_equal(got, want):
 
 
 class TestTermsMatchFrozenCopy:
-    """The penalty terms run the same floating-point operations, in the same
-    order, as the frozen per-block copies above, so every result is bitwise
-    equal, signed zeros included."""
+    """Every lane of the stacked kernel runs the same floating-point
+    operations, in the same order, as the frozen per-bin copies above, so
+    every result is bitwise equal, signed zeros included, whatever the lane
+    count and whatever the other lanes hold.  The frozen copies see Phi_yy
+    and Phi_vv laid out as the coherence estimator returns them.  This rests
+    on stacked matmul matching per-bin ``@`` on this numpy/BLAS build; where
+    it does not, this test fails."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
         m=st.integers(2, 8),
-        rank=st.integers(1, 8),
-        case=st.sampled_from(["generic", "rank-one noise", "collapsed u",
-                              "zero filter"]),
-        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+        lanes=st.sampled_from([1, 2, 7, 24]),
+        data=st.data(),
     )
-    def test_value_gradient_hessian_bitwise(self, seed, m, rank, case, scale):
+    def test_value_gradient_hessian_bitwise(self, seed, m, lanes, data):
         rng = np.random.default_rng(seed)
-        rank = 1 if case == "rank-one noise" else min(rank, m)
-        phi_vv = low_rank_psd(rng, m, rank)
+        mix = data.draw(st.lists(
+            st.tuples(st.sampled_from(["generic", "rank-one noise", "collapsed u",
+                                       "zero filter"]),
+                      st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+                      st.integers(1, 8)),
+            min_size=lanes, max_size=lanes))
+        sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[m - 1])
+        phi_xx, phi_vv, w_l, w_r, phase_targets, ic_targets = [], [], [], [], [], []
+        for case, scale, rank in mix:
+            rank = 1 if case == "rank-one noise" else min(rank, m)
+            phi_xx.append(random_psd(rng, m))
+            phi_vv.append(low_rank_psd(rng, m, rank))
+            a, b = random_filters(rng, m)
+            if case == "collapsed u":
+                b = shrink_cross_power(a, b, phi_vv[-1], 0.0)
+            elif case == "zero filter":
+                a = np.zeros(m, dtype=complex)
+            w_l.append(scale * a)
+            w_r.append(scale * b)
+            phase_targets.append(float(rng.uniform(-np.pi, np.pi)))
+            ic_targets.append(complex(rng.uniform(0, 1)
+                                      * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+        phi_xx, phi_vv = np.array(phi_xx), np.array(phi_vv)
+        phi_yy = phi_xx + phi_vv
+        pairs = np.stack([w_l, w_r], axis=1)
+        alpha = float(rng.choice([0.3, 40.0, 1e5]))
+        for variant, targets, old_term in (("mwf-itd", phase_targets, _ParentPhaseTerm),
+                                           ("mwf-ic", ic_targets, _ParentCoherenceTerm)):
+            objective = BinObjective(phi_xx, phi_yy, phi_vv, sel.q_l, sel.q_r,
+                                     CostSpec(variant, alpha), targets)
+            pen_values, pen_grads, degenerate = objective.penalty.value_and_gradient(pairs)
+            values, grads = objective(np.array([pack_filters(*pair) for pair in pairs]))
+            for b in range(lanes):
+                old = old_term(bin_innermost(phi_vv[b]), targets[b])
+                want = old.value_and_gradient(w_l[b], w_r[b])
+                assert degenerate[b] == (want is None)
+                if want is None:
+                    want = DEGENERATE_PENALTY, np.zeros(4 * m)
+                assert_bitwise_equal(pen_values[b], want[0])
+                assert_bitwise_equal(pen_grads[b], want[1])
+                wiener = _ParentWienerTerm(phi_xx[b], bin_innermost(phi_yy[b]), sel.q_l,
+                                           sel.q_r)
+                want = _parent_combined(wiener, old, alpha, w_l[b], w_r[b])
+                assert_bitwise_equal(values[b], want[0])
+                assert_bitwise_equal(grads[b], want[1])
+                lane = _take(objective.penalty, [b])
+                assert_bitwise_equal(lane.hessian(pairs[b : b + 1]),
+                                     old.hessian(w_l[b], w_r[b]))
+
+    def test_squared_coherence_gap_is_python_power(self):
+        # Python's float power and a numpy square of |g| differ in the last
+        # bit for about 1 value in 1,200; give every lane a target whose
+        # coherence gap is such a value
+        rng = np.random.default_rng(7)
+        m, lanes = 4, 3
+        phi_vv = random_psd(rng, m)
         w_l, w_r = random_filters(rng, m)
-        if case == "collapsed u":
-            w_r = shrink_cross_power(w_l, w_r, phi_vv, 0.0)
-        elif case == "zero filter":
-            w_l = np.zeros(m, dtype=complex)
-        w_l, w_r = scale * w_l, scale * w_r
-        phase_target = float(rng.uniform(-np.pi, np.pi))
-        ic_target = complex(rng.uniform(0, 1) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
-        for new, old in ((_PhaseTerm(phi_vv, phase_target),
-                          _ParentPhaseTerm(phi_vv, phase_target)),
-                         (_CoherenceTerm(phi_vv, ic_target),
-                          _ParentCoherenceTerm(phi_vv, ic_target))):
-            got = new.value_and_gradient(w_l, w_r)
-            want = old.value_and_gradient(w_l, w_r)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert_bitwise_equal(got[0], want[0])
-                assert_bitwise_equal(got[1], want[1])
-            assert_bitwise_equal(new.hessian(w_l, w_r), old.hessian(w_l, w_r))
+        _, _, u, p_l, p_r = _parent_noise_products(w_l, w_r, bin_innermost(phi_vv))
+        ic_out = u / np.sqrt(p_l * p_r)
+        targets = []
+        while len(targets) < lanes:
+            target = ic_out - rng.uniform(0.1, 1.0)
+            gap = abs(ic_out - target)
+            if gap**2 != np.square(gap):
+                targets.append(target)
+        term = _CoherenceTerm(np.array([phi_vv] * lanes), np.array(targets))
+        values, _, _ = term.value_and_gradient(np.array([[w_l, w_r]] * lanes))
+        for value, target in zip(values, targets):
+            want = _ParentCoherenceTerm(bin_innermost(phi_vv), target)
+            assert_bitwise_equal(value, want.value_and_gradient(w_l, w_r)[0])

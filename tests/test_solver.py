@@ -7,7 +7,6 @@ from binaural_mwf import InvalidInputError, solver
 from binaural_mwf.costs import (
     BinObjective,
     CostSpec,
-    FilterPair,
     j_w,
     pack_filters,
     unpack_filters,
@@ -17,13 +16,13 @@ from binaural_mwf.solver import (
     SWEEP_COLUMNS,
     SolverConfig,
     _inverse_spd,
+    _lockstep,
     _wolfe_line_search,
     alpha_sweep,
     calibrate_alpha,
     minimize_bfgs,
     mwf_closed_form,
     solve_all_bins,
-    solve_bin,
     write_sweep_csv,
 )
 from binaural_mwf.spatial_stats import (
@@ -41,6 +40,12 @@ from conftest import (
     random_psd,
     shrink_cross_power,
 )
+
+
+def one_bin(phi, k):
+    """The one-bin CoherenceSet of bin ``k`` of ``phi``."""
+    return CoherenceSet(phi_yy=phi.phi_yy[k : k + 1], phi_vv=phi.phi_vv[k : k + 1],
+                        phi_xx=phi.phi_xx[k : k + 1], freqs=phi.freqs[k : k + 1])
 
 
 def coherence_from_mats(phi_xx, phi_vv, freqs):
@@ -219,13 +224,13 @@ class TestLineSearchMatchesFrozenCopy:
         sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[2])
         phi_xx = random_psd(rng, m)
         phi_vv = low_rank_psd(rng, m, 1) if case == "rank-one noise" else random_psd(rng, m)
-        objective = BinObjective(phi_xx, phi_xx + phi_vv, phi_vv, sel.q_l, sel.q_r,
-                                 CostSpec(variant, alpha), 500.0)
+        objective = BinObjective.of_bin(phi_xx, phi_xx + phi_vv, phi_vv, sel.q_l, sel.q_r,
+                                        CostSpec(variant, alpha), 500.0)
         w_l, w_r = random_filters(rng, m)
         if case == "near collapse":
             w_r = shrink_cross_power(w_l, w_r, phi_vv, 1e-3)
         x = pack_filters(w_l, w_r)
-        f0, g0 = objective(x)
+        f0, g0 = (v[0] for v in objective(x[None]))
         if direction == "overshoot":
             # a Newton step stretched to just short of its mirror point lowers
             # the cost but turns the slope positive: the bracket opens with
@@ -236,8 +241,16 @@ class TestLineSearchMatchesFrozenCopy:
             if (p @ g0 > 0) == (direction != "ascent"):
                 p = -p
             p = p * 10.0**log_length / np.max(np.abs(p))
-        got = _wolfe_line_search(objective, x, p, f0, g0, max_evals)
-        want = _frozen_wolfe_line_search(objective, x, p, f0, g0, max_evals)
+        # the search is a lane generator: drive it alone, with the slope
+        # BFGS hands it, p.g0
+        got = _lockstep(lambda x, _: objective(x),
+                        [_wolfe_line_search(x, p, f0, float(p @ g0), max_evals)])[0]
+
+        def fun(x):
+            values, grads = objective(x[None])
+            return float(values[0]), grads[0]
+
+        want = _frozen_wolfe_line_search(fun, x, p, f0, g0, max_evals)
         assert (got is None) == (want is None)
         if want is not None:
             for a, b in zip(got, want):
@@ -245,26 +258,25 @@ class TestLineSearchMatchesFrozenCopy:
 
 
 class TestSolveBin:
+    """One bin solved alone, as a one-bin CoherenceSet."""
+
     def test_alpha_zero_matches_closed_form(self, sel6):
         rng = np.random.default_rng(4)
         phi = random_coherence_set(rng, 6, 3, [300.0, 600.0, 900.0])
         closed, _ = mwf_closed_form(phi, sel6)
         for k in range(3):
-            w_l, w_r, diag = solve_bin(
-                CostSpec("mwf-ic", 0.0), phi, sel6, k, SolverConfig(),
-                closed.w_l[k], closed.w_r[k],
-            )
+            result = solve_all_bins(CostSpec("mwf-ic", 0.0), one_bin(phi, k), sel6)
+            w_l, w_r = result.filters.w_l[0], result.filters.w_r[0]
             ref = np.abs(closed.w_l[k]).max()
             assert np.abs(w_l - closed.w_l[k]).max() < 1e-6 * ref
             assert np.abs(w_r - closed.w_r[k]).max() < 1e-6 * ref
-            assert diag["converged"]
+            assert result.converged[0]
 
     def test_penalty_dominance_pins_cues(self, cfg, geometry, selector):
         # huge coherence weight on rank-one-plus-floor noise: output cues
         # must match input cues
         from binaural_mwf.scene import steering_vector
 
-        rng = np.random.default_rng(5)
         sv_n = steering_vector(geometry, 45.0, 3.0, cfg)
         sv_s = steering_vector(geometry, 0.0, 0.8, cfg)
         k = 12
@@ -275,35 +287,25 @@ class TestSolveBin:
         phi = coherence_from_mats(
             phi_xx[np.newaxis], phi_vv[np.newaxis], [cfg.freqs[k]]
         )
-        closed, _ = mwf_closed_form(phi, selector)
-        w_l, w_r, diag = solve_bin(
-            CostSpec("mwf-ic", 1e4), phi, sel_from(selector), 0, SolverConfig(),
-            closed.w_l[0], closed.w_r[0],
-        )
-        pair = FilterPair(w_l=w_l[np.newaxis], w_r=w_r[np.newaxis])
-        sub_cfg_freqs = np.array([cfg.freqs[k]])
+        result = solve_all_bins(CostSpec("mwf-ic", 1e4), phi, selector)
+        w_l, w_r = result.filters.w_l[0], result.filters.w_r[0]
         num = np.vdot(w_l, phi_vv @ w_r)
         ipd_out = np.angle(num)
         ipd_in = np.angle(phi_vv[0, 3])
         assert abs(wrap_angle(ipd_out - ipd_in)) < 1e-3
 
     def test_descent_property(self, phi30, selector):
+        from binaural_mwf.costs import combined
+
         spec = CostSpec("mwf-itd", 3000.0)
         closed, _ = mwf_closed_form(phi30, selector)
         for k in (2, 8, 15, 22):
-            from binaural_mwf.costs import combined
-
-            w_l, w_r, diag = solve_bin(spec, phi30, selector, k, SolverConfig(),
-                                       closed.w_l[k], closed.w_r[k])
+            result = solve_all_bins(spec, one_bin(phi30, k), selector)
             ev0 = combined(
                 closed.w_l[k], closed.w_r[k], phi30.phi_xx[k], phi30.phi_yy[k],
                 phi30.phi_vv[k], selector.q_l, selector.q_r, spec, phi30.freqs[k],
             )
-            assert diag["cost"] <= ev0.value + 1e-9 * max(1.0, abs(ev0.value))
-
-
-def sel_from(selector):
-    return selector
+            assert result.cost[0] <= ev0.value + 1e-9 * max(1.0, abs(ev0.value))
 
 
 class TestSolveAllBins:
@@ -356,6 +358,16 @@ class TestSolveAllBins:
                           (moved.flagged, base.flagged)):
             assert np.array_equal(got, want[order])
         assert np.any(base.iterations > 0)
+        # lanes do not talk to each other: each bin solved alone gives the
+        # bits it gets in the full solve
+        for k in range(phi.bin_count):
+            alone = solve_all_bins(spec, one_bin(phi, k), sel)
+            for got, want in ((alone.filters.w_l, base.filters.w_l),
+                              (alone.filters.w_r, base.filters.w_r),
+                              (alone.cost, base.cost), (alone.iterations, base.iterations),
+                              (alone.converged, base.converged),
+                              (alone.flagged, base.flagged)):
+                assert got[0].tobytes() == want[k].tobytes()
 
     def test_mwf_output_noise_inherits_speech_cues(
         self, scene30, phi30, mwf30, selector, cfg
