@@ -23,7 +23,9 @@ numpy operations over all lanes at once.  :class:`BinObjective` combines
 them for an optimizer's lanes; the one-bin functions (``j_w``, ``j_ipd``,
 ``j_ic``, ``combined``) run the kernel with B = 1.  A penalty term builds
 its parameter derivatives once per evaluation, as whole 4M vectors, and
-its gradient and its one-lane Hessian both read them.
+its gradient and its one-lane Hessian (entered through
+``BinObjective.hessian``) both read them.  ``_pack_pairs`` and
+``_unpack_pairs`` are the one packed-parameter layout.
 
 Each lane runs the same floating-point operations, in the same order, as
 an evaluation of its bin alone, so its result does not depend on B or on
@@ -106,24 +108,13 @@ class CostEval:
     degenerate: bool = False
 
 
-def pack_filters(w_l, w_r):
-    return np.concatenate([w_l.real, w_l.imag, w_r.real, w_r.imag])
-
-
-def unpack_filters(x):
-    m = x.size // 4
-    w_l = x[:m] + 1j * x[m : 2 * m]
-    w_r = x[2 * m : 3 * m] + 1j * x[3 * m :]
-    return w_l, w_r
-
-
 def _realify(mat):
     """Real quadratic-form matrix of w^H M w over [Re w; Im w] (M Hermitian)."""
     return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
 
 
 def _gapped(mats):
-    """Matrices (B, M, M) stored with a gap after every entry, for ``_mv``."""
+    """Matrices (..., M, M) stored with a gap after every entry, for ``_mv``."""
     out = np.zeros(mats.shape[:-1] + (2 * mats.shape[-1],), dtype=complex)
     out[..., ::2] = mats
     return out
@@ -144,6 +135,17 @@ def _unpack_pairs(x):
 def _pack_pairs(w):
     """Packed parameter rows (B, 4M) of filter pairs (B, 2, M)."""
     return np.stack([w.real, w.imag], axis=2).reshape(w.shape[0], -1)
+
+
+def pack_filters(w_l, w_r):
+    """Packed parameters [Re w_l; Im w_l; Re w_r; Im w_r] of one filter pair."""
+    return _pack_pairs(_pair(w_l, w_r))[0]
+
+
+def unpack_filters(x):
+    """Filters (w_l, w_r) of one lane's packed parameters."""
+    w_l, w_r = _unpack_pairs(x[None])[0]
+    return w_l, w_r
 
 
 def _mv(gapped, w):
@@ -247,17 +249,21 @@ class _WienerTerm:
         return value, _pack_pairs(2.0 * (y - self.b))
 
 
-class _PhaseTerm:
-    """Phase penalty of B lanes against their input noise phases ``target``.
-
-    A lane is degenerate when an output noise power or the cross power is
-    below the guard; ``hessian`` returns None there.
-    """
+class _PenaltyTerm:
+    """Gapped Phi_vv, input noise cues ``target`` and guard of B lanes."""
 
     def __init__(self, phi_vv, target):
         self.phi_vv = _gapped(phi_vv)
         self.target = target
         self.eps = _noise_eps(phi_vv)
+
+
+class _PhaseTerm(_PenaltyTerm):
+    """Phase penalty of B lanes against their input noise phases ``target``.
+
+    A lane is degenerate when an output noise power or the cross power is
+    below the guard; ``hessian`` returns None there.
+    """
 
     def _derivatives(self, w):
         """(live, d, u, c, d(angle u)/d(params)), all but ``live`` restricted
@@ -294,15 +300,10 @@ class _PhaseTerm:
         return 2.0 * np.outer(grad_phi, grad_phi) + 2.0 * d * hess_phi
 
 
-class _CoherenceTerm:
+class _CoherenceTerm(_PenaltyTerm):
     """Coherence penalty of B lanes against their input noise coherences
     ``target``; a lane is degenerate when an output noise power is below the
     guard, and ``hessian`` returns None there."""
-
-    def __init__(self, phi_vv, target):
-        self.phi_vv = _gapped(phi_vv)
-        self.target = target
-        self.eps = _noise_eps(phi_vv)
 
     def _derivatives(self, w):
         """(live, u, p_l, p_r, du, dp_l, dp_r, target) over the real
@@ -407,7 +408,7 @@ def penalty_cue(spec: CostSpec, phi_vv, q_l, q_r, freq_hz):
 
 def _check_filter_sizes(w_l, w_r, m):
     if w_l.size != m or w_r.size != m:
-        raise InvalidInputError("dimension mismatch in Wiener cost")
+        raise InvalidInputError(f"filters must have {m} coefficients, one per microphone")
 
 
 def _first_lane(values, grads, degenerate=(False,)) -> CostEval:
@@ -423,6 +424,7 @@ def j_w(w_l, w_r, phi_xx, phi_yy, q_l, q_r) -> CostEval:
 
 def j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None) -> CostEval:
     """Squared wrapped difference between output and input noise phase."""
+    _check_filter_sizes(w_l, w_r, q_l.size)
     if ipd_in is None:
         ipd_in = input_ipd(phi_vv, q_l, q_r)
         if ipd_in is None:
@@ -433,6 +435,7 @@ def j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None) -> CostEval:
 
 def j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None) -> CostEval:
     """Squared modulus of the coherence difference |ic_out - ic_in|^2."""
+    _check_filter_sizes(w_l, w_r, q_l.size)
     if ic_in is None:
         ic_in = input_ic(phi_vv, q_l, q_r)
         if ic_in is None:
@@ -441,8 +444,9 @@ def j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None) -> CostEval:
     return _first_lane(*term.value_and_gradient(_pair(w_l, w_r)))
 
 
-def hess_j_w(phi_yy, m):
+def hess_j_w(phi_yy):
     """Exact (4M, 4M) Hessian of the Wiener term: block-diagonal per ear."""
+    m = phi_yy.shape[0]
     block = 2.0 * _realify(phi_yy)
     out = np.zeros((4 * m, 4 * m))
     out[: 2 * m, : 2 * m] = block
@@ -506,20 +510,13 @@ class BinObjective:
         return values, grads
 
     def hessian(self, x, lane=0):
-        """Exact Hessian of one lane at its packed parameters ``x``."""
-        return self.hessian_at(*unpack_filters(x), lane)
-
-    def hessian_at(self, w_l, w_r, lane=0):
-        """Exact Hessian of one lane at filters (M,); the penalty contributes
-        nothing where degenerate."""
-        one = self.take([lane])
-        base = hess_j_w(one.wiener.phi_yy[0, :, ::2], self.size // 4)
-        if one.penalty is None:
+        """Exact Hessian of one lane at its packed parameters ``x``; the
+        penalty contributes nothing where degenerate."""
+        base = hess_j_w(self.wiener.phi_yy[lane, :, ::2])
+        if self.penalty is None:
             return base
-        pen = one.penalty.hessian(_pair(w_l, w_r))
-        if pen is None:
-            return base
-        return base + self.alpha * pen
+        pen = _take(self.penalty, [lane]).hessian(_unpack_pairs(x[None]))
+        return base if pen is None else base + self.alpha * pen
 
 
 def combined_hessian(
@@ -527,7 +524,7 @@ def combined_hessian(
 ):
     """Exact Hessian of the combined objective (penalty zero where gated)."""
     objective = BinObjective.of_bin(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
-    return objective.hessian_at(w_l, w_r)
+    return objective.hessian(pack_filters(w_l, w_r))
 
 
 def combined(

@@ -164,12 +164,6 @@ class SceneData:
                                compare=False)
 
 
-def woodworth_itd(geometry: ArrayGeometry, azimuth_deg):
-    """Interaural delay (a/c)(theta + sin theta) in seconds, theta >= 0."""
-    theta = abs(np.deg2rad(azimuth_deg))
-    return geometry.head_radius / geometry.sound_speed * (theta + np.sin(theta))
-
-
 def _mic_delays(geometry, azimuth_deg):
     """Arrival delay per channel relative to the head center, in seconds."""
     theta = np.deg2rad(azimuth_deg)

@@ -6,13 +6,15 @@ parameters, started from the closed form (the alpha -> 0 optimum), using a
 strong-Wolfe line search so every accepted step decreases the cost and
 keeps the inverse-Hessian update well defined.
 
-All penalized bins of a solve are optimized in lockstep.  BFGS, its line
-search and the Newton polish are lane generators: each yields the point it
-needs evaluated and receives (value, gradient).  Every (bin, start) pair is
-a lane, and each round sends the pending points of all lanes through one
-call of the stacked objective (``costs.BinObjective``), built once per
-solve.  A lane's floating-point operations are those of the bin solved
-alone, so the lockstep changes no result.
+All penalized bins of a solve are optimized in lockstep.  Every (bin,
+start) pair is a lane, one generator from seed to polish: it seeds its
+inverse-Hessian approximation from the exact Hessian, runs BFGS and, if
+BFGS stops unconverged at a finite cost, takes Newton steps.  A lane yields
+each point it needs evaluated and receives (value, gradient); one
+``minimize_bfgs`` drive per solve sends all lanes' pending points through
+one call of the stacked objective (``costs.BinObjective``) per round.  A
+lane's floating-point operations are those of the bin solved alone, so the
+lockstep changes no result.
 
 Also provides the weighting-factor machinery: log-grid calibration of alpha
 for a bounded worst-ear SNR loss, which returns the solve and metrics made
@@ -34,6 +36,7 @@ from .costs import (  # noqa: F401
     BinObjective,
     CostSpec,
     FilterPair,
+    _gapped,
     combined,
     combined_hessian,
     pack_filters,
@@ -193,13 +196,14 @@ def _wolfe_line_search(x, p, f0, d0, max_evals=30):
     return best
 
 
-def _bfgs(x, cfg: SolverConfig, h0=None, start=None):
-    """BFGS from x as a lane generator returning a BfgsResult; ``start`` is
-    the (value, gradient) at x if already known."""
+def _bfgs(x, cfg: SolverConfig, hessian=None, start=None):
+    """One lane from x as a generator returning a BfgsResult (see
+    ``minimize_bfgs``); ``iterations`` counts the BFGS iterations alone."""
     x = np.asarray(x, dtype=float).copy()
     f, g = (yield x) if start is None else start
     g_max = np.abs(g).max()
-    seed = np.eye(x.size) if h0 is None else np.asarray(h0, dtype=float)
+    h0 = None if hessian is None else _inverse_spd(hessian(x))
+    seed = np.eye(x.size) if h0 is None else h0
     h = seed.copy()
     first_update = h0 is None
     iterations = 0
@@ -258,20 +262,26 @@ def _bfgs(x, cfg: SolverConfig, h0=None, start=None):
         f, g = f_new, g_new
         g_max = np.abs(g).max() if g_new_max is None else g_new_max
         iterations += 1
-    return BfgsResult(x, f, g, iterations, _converged(f, g_max, cfg))
+    converged = _converged(f, g_max, cfg)
+    if hessian is not None and not converged and np.isfinite(f):
+        x, f, g, converged = yield from _newton_polish(hessian, x, f, g, cfg)
+    return BfgsResult(x, f, g, iterations, converged)
 
 
-def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None, start=None):
+def minimize_bfgs(fun, x0, cfg: SolverConfig, hessian=None, start=None):
     """Minimize with BFGS from x0: one lane, or a stack of lanes in lockstep.
 
     One lane: ``fun(x) -> (value, gradient)`` and ``x0`` a vector; returns a
     BfgsResult.  A stack: ``x0`` holds one start per row,
     ``fun(x, lanes) -> (values, gradients)`` evaluates the rows of ``x`` for
-    the listed lanes, ``h0`` and ``start`` hold one entry per lane, and a
-    list of BfgsResults is returned.  Every lane runs the same iteration.
+    the listed lanes, ``start`` holds one entry per lane, and a list of
+    BfgsResults is returned.  Every lane runs the same iteration.
 
-    ``h0`` seeds a lane's inverse-Hessian approximation (identity if None)
-    and ``start`` is its (value, gradient) at x0 if already known.  On a
+    ``hessian``, the exact Hessian (``hessian(x)`` for one lane,
+    ``hessian(x, lane)`` for a stack), seeds a lane's inverse-Hessian
+    approximation (else the identity, scaled at the first update) and
+    Newton-polishes a lane that BFGS leaves unconverged at a finite cost.
+    ``start`` is a lane's (value, gradient) at x0 if already known.  On a
     line-search failure the approximation is reset once to the seed before
     giving up, which un-sticks stale curvature information.
     """
@@ -281,10 +291,11 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, h0=None, start=None):
             f, g = fun(x[0])
             return [f], [g]
 
-        return _lockstep(stacked, [_bfgs(x0, cfg, h0, start)])[0]
-    h0 = [None] * len(x0) if h0 is None else h0
+        return _lockstep(stacked, [_bfgs(x0, cfg, hessian, start)])[0]
     starts = [None] * len(x0) if start is None else list(zip(*start))
-    return _lockstep(fun, [_bfgs(x, cfg, h, s) for x, h, s in zip(x0, h0, starts)])
+    return _lockstep(fun, [
+        _bfgs(x, cfg, None if hessian is None else functools.partial(hessian, lane=j), s)
+        for j, (x, s) in enumerate(zip(x0, starts))])
 
 
 def _newton_polish(hessian, x, f, g, cfg: SolverConfig):
@@ -398,7 +409,8 @@ def _starts(spec: CostSpec, cue, w0_l, w0_r, phi_vv):
     one at large weights)."""
     starts = [pack_filters(w0_l, w0_r)]
     if spec.variant == "mwf-itd":
-        u0 = complex(w0_l.conj() @ phi_vv @ w0_r)
+        # a gapped Phi keeps numpy off BLAS: the bits do not depend on its layout
+        u0 = complex(w0_l.conj() @ _gapped(phi_vv)[:, ::2] @ w0_r)
         if abs(u0) > 0:
             delta = float(np.angle(np.exp(1j * (cue - np.angle(u0)))))
             starts.append(pack_filters(w0_l, w0_r * np.exp(1j * delta)))
@@ -412,12 +424,13 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
     Every bin starts from its closed form (``closed_form_bin``), the
     alpha -> 0 optimum, and a bin without a penalty (the plain Wiener
     variant, or a gated-off bin) keeps it.  The penalized bins are
-    optimized together: each (bin, start) pair is a lane, and every round
-    of the lockstep evaluates all lanes' pending points in one call of the
-    stacked objective.  A lane's floating-point operations do not depend on
-    the other lanes, so each bin's result is that of a solve of the bin
-    alone.  A non-finite cost at the closed form flags the bin and keeps
-    it; so does a best outcome costlier than the closed form.
+    optimized together in one ``minimize_bfgs`` drive: each (bin, start)
+    pair is a lane, and every round of the lockstep evaluates all lanes'
+    pending points in one call of the stacked objective.  A lane's
+    floating-point operations do not depend on the other lanes, so each
+    bin's result is that of a solve of the bin alone.  A non-finite cost at
+    the closed form flags the bin and keeps it; so does a best outcome
+    costlier than the closed form.
     """
     k_bins = phi.bin_count
     init, init_flags = mwf_closed_form(phi, selector)
@@ -452,23 +465,25 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
         f0 = f0.tolist()
         groups = np.split(np.arange(lanes.size), np.flatnonzero(np.diff(lanes)) + 1)
         run = [j for group in groups if np.isfinite(f0[group[0]]) for j in group]
-        finals = dict(zip(run, _optimize_lanes(
-            objective.take(run), x0[run], ([f0[j] for j in run], [g0[j] for j in run]), cfg)))
+        running = objective.take(run)
+        results = dict(zip(run, minimize_bfgs(
+            running, x0[run], cfg, running.hessian,
+            ([f0[j] for j in run], [g0[j] for j in run]))))
         for group in groups:
             k = lane_bins[group[0]]
             outcome = None
-            for x_fin, f_fin, lane_converged, lane_iterations in (
-                    finals[j] for j in group if j in finals):
-                iterations[k] += lane_iterations
-                if not np.isfinite(f_fin):
+            for res in (results[j] for j in group if j in results):
+                iterations[k] += res.iterations
+                if not np.isfinite(res.value):
                     continue
-                if outcome is None or f_fin < outcome[1] - 1e-12 * max(1.0, abs(f_fin)):
-                    outcome = (x_fin, f_fin, lane_converged)
-            if outcome is None or outcome[1] > f0[group[0]]:
+                if (outcome is None
+                        or res.value < outcome.value - 1e-12 * max(1.0, abs(res.value))):
+                    outcome = res
+            if outcome is None or outcome.value > f0[group[0]]:
                 cost[k], converged[k], flagged[k] = f0[group[0]], False, True
             else:
-                w_l[k], w_r[k] = unpack_filters(outcome[0])
-                cost[k], converged[k] = outcome[1], outcome[2]
+                w_l[k], w_r[k] = unpack_filters(outcome.x)
+                cost[k], converged[k] = outcome.value, outcome.converged
     return SolveResult(
         filters=FilterPair(w_l=w_l, w_r=w_r),
         cost=cost,
@@ -476,25 +491,6 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
         converged=converged,
         flagged=flagged,
     )
-
-
-def _optimize_lanes(objective, x0, start, cfg: SolverConfig):
-    """Minimize every lane of ``objective`` from its row of ``x0``, where
-    ``start`` holds the (values, gradients): BFGS in lockstep, then a
-    lockstep Newton polish of the lanes it leaves unconverged at a finite
-    cost.  Returns (x, f, converged, BFGS iterations) per lane."""
-    h0 = [_inverse_spd(objective.hessian(x, j)) for j, x in enumerate(x0)]
-    results = minimize_bfgs(objective, x0, cfg, h0, start)
-    short = [j for j, res in enumerate(results)
-             if not res.converged and np.isfinite(res.value)]
-    polished = _lockstep(
-        lambda x, active: objective(x, tuple(short[a] for a in active)),
-        [_newton_polish(functools.partial(objective.hessian, lane=j), results[j].x,
-                        results[j].value, results[j].gradient, cfg) for j in short])
-    finals = [(res.x, res.value, res.converged, res.iterations) for res in results]
-    for j, (x, f, _, converged) in zip(short, polished):
-        finals[j] = (x, f, converged, results[j].iterations)
-    return finals
 
 
 @dataclass

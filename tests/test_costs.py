@@ -111,6 +111,15 @@ class TestJW:
                 sel4.q_l,
                 sel4.q_r,
             )
+        # the penalties validate their filters the same way, with or without
+        # a given input cue
+        phi_vv = random_psd(np.random.default_rng(4), 4)
+        short, full = np.ones(3, dtype=complex), np.ones(4, dtype=complex)
+        for term, cue in ((j_ipd, 0.5), (j_ic, 0.5 + 0.1j)):
+            for w_l, w_r in ((short, short), (full, short), (short, full)):
+                for given in (None, cue):
+                    with pytest.raises(InvalidInputError):
+                        term(w_l, w_r, phi_vv, sel4.q_l, sel4.q_r, given)
 
     def test_convexity_along_segments(self, sel4):
         rng = np.random.default_rng(2)
@@ -358,7 +367,7 @@ class TestHessians:
                 grad = lambda x: j_w(
                     *unpack_filters(x), phi_xx, phi_yy, sel4.q_l, sel4.q_r
                 ).gradient
-                hess = hess_j_w(phi_yy, 4)
+                hess = hess_j_w(phi_yy)
             elif which == "j_ipd":
                 grad = lambda x: j_ipd(
                     *unpack_filters(x), phi_vv, sel4.q_l, sel4.q_r

@@ -11,7 +11,6 @@ from binaural_mwf.scene import (
     steering_vector,
     synthesize_scene,
     synthetic_speech,
-    woodworth_itd,
 )
 from binaural_mwf.spatial_stats import Selector, wrap_angle
 from binaural_mwf.stft import analyze
@@ -29,7 +28,6 @@ class TestSteering:
         ipd = np.angle(sv.h[1:8, il] * np.conj(sv.h[1:8, ir]))
         measured = -ipd / (2.0 * np.pi * f)
         np.testing.assert_allclose(measured, expected, rtol=1e-10)
-        assert woodworth_itd(geometry, 90.0) == pytest.approx(expected)
 
     def test_zero_azimuth_has_zero_ipd(self, geometry, cfg):
         sv = steering_vector(geometry, 0.0, 0.8, cfg)
