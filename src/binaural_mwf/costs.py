@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .spatial_stats import _EPS_REL, CUE_CUTOFF_HZ, Selector, in_cue_band, wrap_angle
+from .spatial_stats import _EPS_REL, CUE_CUTOFF_HZ, in_cue_band, wrap_angle
 
 VARIANTS = ("mwf", "mwf-itd", "mwf-ic")
 
@@ -86,13 +86,6 @@ class FilterPair:
         self.w_r = np.asarray(self.w_r, dtype=complex)
         if self.w_l.shape != self.w_r.shape:
             raise InvalidInputError("left/right filter shapes differ")
-
-    @classmethod
-    def identity(cls, selector: Selector, bins):
-        """Pass-through filters selecting the reference microphones."""
-        w_l = np.tile(selector.q_l.astype(complex), (bins, 1))
-        w_r = np.tile(selector.q_r.astype(complex), (bins, 1))
-        return cls(w_l=w_l, w_r=w_r)
 
     @property
     def bin_count(self):

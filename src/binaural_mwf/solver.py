@@ -7,10 +7,11 @@ strong-Wolfe line search so every accepted step decreases the cost and
 keeps the inverse-Hessian update well defined.
 
 All penalized bins of a solve are optimized in lockstep.  Every (bin,
-start) pair is a lane, one generator from seed to polish: it seeds its
-inverse-Hessian approximation from the exact Hessian, runs BFGS and, if
-BFGS stops unconverged at a finite cost, takes Newton steps.  A lane yields
-each point it needs evaluated and receives (value, gradient); one
+start) pair is a lane, one generator from start to polish: it evaluates
+its start (a non-finite cost stops it there), seeds its inverse-Hessian
+approximation from the exact Hessian, runs BFGS and, if BFGS stops
+unconverged at a finite cost, takes Newton steps.  A lane yields each
+point it needs evaluated and receives (value, gradient); one
 ``minimize_bfgs`` drive per solve sends all lanes' pending points through
 one call of the stacked objective (``costs.BinObjective``) per round.  A
 lane's floating-point operations are those of the bin solved alone, so the
@@ -103,9 +104,9 @@ class SolveResult:
 class BfgsResult:
     x: np.ndarray
     value: float
-    gradient: np.ndarray
     iterations: int
     converged: bool
+    start_value: float  # the cost at the lane's start
 
 
 def _lockstep(fun, lanes):
@@ -196,11 +197,14 @@ def _wolfe_line_search(x, p, f0, d0, max_evals=30):
     return best
 
 
-def _bfgs(x, cfg: SolverConfig, hessian=None, start=None):
+def _bfgs(x, cfg: SolverConfig, hessian=None):
     """One lane from x as a generator returning a BfgsResult (see
     ``minimize_bfgs``); ``iterations`` counts the BFGS iterations alone."""
     x = np.asarray(x, dtype=float).copy()
-    f, g = (yield x) if start is None else start
+    f0, g = yield x
+    if not np.isfinite(f0):
+        return BfgsResult(x, f0, 0, False, f0)
+    f = f0
     g_max = np.abs(g).max()
     h0 = None if hessian is None else _inverse_spd(hessian(x))
     seed = np.eye(x.size) if h0 is None else h0
@@ -210,16 +214,13 @@ def _bfgs(x, cfg: SolverConfig, hessian=None, start=None):
     restarted = False
     while iterations < cfg.max_iterations:
         if _converged(f, g_max, cfg):
-            return BfgsResult(x, f, g, iterations, True)
+            return BfgsResult(x, f, iterations, True, f0)
         p = -(h @ g)
         slope = float(p @ g)
         if slope >= 0:
             h = seed.copy()
             p = -(h @ g)
             slope = float(p @ g)
-            if slope >= 0:
-                p = -g
-                slope = float(p @ g)
         step = yield from _wolfe_line_search(x, p, f, slope)
         g_new_max = None
         if step is None:
@@ -264,26 +265,28 @@ def _bfgs(x, cfg: SolverConfig, hessian=None, start=None):
         iterations += 1
     converged = _converged(f, g_max, cfg)
     if hessian is not None and not converged and np.isfinite(f):
-        x, f, g, converged = yield from _newton_polish(hessian, x, f, g, cfg)
-    return BfgsResult(x, f, g, iterations, converged)
+        x, f, converged = yield from _newton_polish(hessian, x, f, g, cfg)
+    return BfgsResult(x, f, iterations, converged, f0)
 
 
-def minimize_bfgs(fun, x0, cfg: SolverConfig, hessian=None, start=None):
+def minimize_bfgs(fun, x0, cfg: SolverConfig, hessian=None):
     """Minimize with BFGS from x0: one lane, or a stack of lanes in lockstep.
 
     One lane: ``fun(x) -> (value, gradient)`` and ``x0`` a vector; returns a
     BfgsResult.  A stack: ``x0`` holds one start per row,
     ``fun(x, lanes) -> (values, gradients)`` evaluates the rows of ``x`` for
-    the listed lanes, ``start`` holds one entry per lane, and a list of
-    BfgsResults is returned.  Every lane runs the same iteration.
+    the listed lanes, and a list of BfgsResults is returned.  Every lane
+    runs the same iteration and starts itself: it first evaluates its x0,
+    whose cost it keeps as ``start_value``, and stops there, unconverged
+    after 0 iterations, if that cost is not finite.
 
     ``hessian``, the exact Hessian (``hessian(x)`` for one lane,
     ``hessian(x, lane)`` for a stack), seeds a lane's inverse-Hessian
     approximation (else the identity, scaled at the first update) and
     Newton-polishes a lane that BFGS leaves unconverged at a finite cost.
-    ``start`` is a lane's (value, gradient) at x0 if already known.  On a
-    line-search failure the approximation is reset once to the seed before
-    giving up, which un-sticks stale curvature information.
+    A non-descent direction resets the approximation to the seed; so does a
+    failed line search, once before giving up, which un-sticks stale
+    curvature information.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
@@ -291,16 +294,15 @@ def minimize_bfgs(fun, x0, cfg: SolverConfig, hessian=None, start=None):
             f, g = fun(x[0])
             return [f], [g]
 
-        return _lockstep(stacked, [_bfgs(x0, cfg, hessian, start)])[0]
-    starts = [None] * len(x0) if start is None else list(zip(*start))
+        return _lockstep(stacked, [_bfgs(x0, cfg, hessian)])[0]
     return _lockstep(fun, [
-        _bfgs(x, cfg, None if hessian is None else functools.partial(hessian, lane=j), s)
-        for j, (x, s) in enumerate(zip(x0, starts))])
+        _bfgs(x, cfg, None if hessian is None else functools.partial(hessian, lane=j))
+        for j, x in enumerate(x0)])
 
 
 def _newton_polish(hessian, x, f, g, cfg: SolverConfig):
     """Drive the gradient norm down with at most 30 damped Newton steps; a
-    lane generator returning (x, f, g, converged).
+    lane generator returning (x, f, converged).
 
     Line-search descent stalls once cost differences reach the float noise
     floor; near the optimum the gradient is still perfectly informative, so
@@ -338,8 +340,8 @@ def _newton_polish(hessian, x, f, g, cfg: SolverConfig):
         x, f, g, g_max = candidate
         if g_max < best[3]:
             best = candidate
-    x, f, g, g_max = best
-    return x, f, g, _converged(f, g_max, cfg)
+    x, f, _, g_max = best
+    return x, f, _converged(f, g_max, cfg)
 
 
 def _floored_eigh(hess):
@@ -425,12 +427,13 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
     alpha -> 0 optimum, and a bin without a penalty (the plain Wiener
     variant, or a gated-off bin) keeps it.  The penalized bins are
     optimized together in one ``minimize_bfgs`` drive: each (bin, start)
-    pair is a lane, and every round of the lockstep evaluates all lanes'
-    pending points in one call of the stacked objective.  A lane's
-    floating-point operations do not depend on the other lanes, so each
-    bin's result is that of a solve of the bin alone.  A non-finite cost at
-    the closed form flags the bin and keeps it; so does a best outcome
-    costlier than the closed form.
+    pair is a lane that starts itself, and every round of the lockstep
+    evaluates all lanes' pending points in one call of the stacked
+    objective.  A lane's floating-point operations do not depend on the
+    other lanes, so each bin's result is that of a solve of the bin alone.
+    A non-finite start cost stops its lane.  A bin is flagged and keeps its
+    closed form when the cost there is not finite, when no lane ends at a
+    finite cost, or when the best outcome is costlier than the closed form.
     """
     k_bins = phi.bin_count
     init, init_flags = mwf_closed_form(phi, selector)
@@ -458,29 +461,20 @@ def solve_all_bins(spec: CostSpec, phi: CoherenceSet, selector: Selector,
         lanes = np.array(lane_bins)
         objective = BinObjective(phi.phi_xx[lanes], phi.phi_yy[lanes], phi.phi_vv[lanes],
                                  q_l, q_r, spec, cues)
-        x0 = np.array(starts)
-        # one round at every start: each bin's finiteness check at its closed
-        # form, and the first (f, g) of BFGS
-        f0, g0 = objective(x0)
-        f0 = f0.tolist()
-        groups = np.split(np.arange(lanes.size), np.flatnonzero(np.diff(lanes)) + 1)
-        run = [j for group in groups if np.isfinite(f0[group[0]]) for j in group]
-        running = objective.take(run)
-        results = dict(zip(run, minimize_bfgs(
-            running, x0[run], cfg, running.hessian,
-            ([f0[j] for j in run], [g0[j] for j in run]))))
-        for group in groups:
+        results = minimize_bfgs(objective, np.array(starts), cfg, objective.hessian)
+        for group in np.split(np.arange(lanes.size), np.flatnonzero(np.diff(lanes)) + 1):
             k = lane_bins[group[0]]
+            f0 = results[group[0]].start_value
             outcome = None
-            for res in (results[j] for j in group if j in results):
+            for res in (results[j] for j in group):
                 iterations[k] += res.iterations
                 if not np.isfinite(res.value):
                     continue
                 if (outcome is None
                         or res.value < outcome.value - 1e-12 * max(1.0, abs(res.value))):
                     outcome = res
-            if outcome is None or outcome.value > f0[group[0]]:
-                cost[k], converged[k], flagged[k] = f0[group[0]], False, True
+            if not np.isfinite(f0) or outcome is None or outcome.value > f0:
+                cost[k], converged[k], flagged[k] = f0, False, True
             else:
                 w_l[k], w_r[k] = unpack_filters(outcome.x)
                 cost[k], converged[k] = outcome.value, outcome.converged

@@ -20,7 +20,8 @@ from .errors import InvalidInputError
 def read_wav(path, expected_rate=None):
     """Load a WAV file as ((channels, samples) float64, rate).
 
-    Integer PCM is scaled to [-1, 1); float PCM is passed through.
+    Integer PCM is scaled to [-1, 1); float PCM is passed through and must
+    be finite.
     """
     try:
         rate, data = wavfile.read(path)
@@ -35,6 +36,8 @@ def read_wav(path, expected_rate=None):
         x = data.astype(np.float64) / 32768.0
     elif data.dtype in (np.float32, np.float64):
         x = data.astype(np.float64)
+        if not np.all(np.isfinite(x)):
+            raise InvalidInputError(f"{path}: non-finite samples (NaN or infinity)")
     else:
         raise InvalidInputError(
             f"{path}: unsupported sample format {data.dtype}; "

@@ -40,6 +40,12 @@ def mwf30(phi30, selector):
     return solver.solve_all_bins(costs.CostSpec("mwf"), phi30, selector)
 
 
+def identity_filters(selector, bins):
+    """Pass-through filters selecting the reference microphones."""
+    return costs.FilterPair(w_l=np.tile(selector.q_l.astype(complex), (bins, 1)),
+                            w_r=np.tile(selector.q_r.astype(complex), (bins, 1)))
+
+
 def random_psd(rng, m, scale=1.0):
     """Random Hermitian PSD matrix, moderately conditioned."""
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))

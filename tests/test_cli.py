@@ -153,6 +153,25 @@ class TestConfigParsing:
         assert str(ir_wav) in err and "48000" in err
         assert not out.exists()
 
+    # unchecked, a NaN noise IR fails in an eigendecomposition and an
+    # infinite speech sample reads as an unusable scene
+    @pytest.mark.parametrize("which", ["noise_ir", "speech"])
+    def test_non_finite_wav_rejected(self, tmp_path, speech_wav, capsys, which):
+        bad_wav = tmp_path / f"{which}.wav"
+        if which == "noise_ir":
+            audio, speech, extra = np.eye(6, 16, k=1), speech_wav, f"scene.noise_ir_wav = {bad_wav}"
+            audio[3, 5] = np.nan
+        else:
+            audio, speech, extra = wavio.read_wav(speech_wav)[0][0], bad_wav, ""
+            audio[1000] = np.inf
+        wavio.write_wav(bad_wav, audio, StftConfig().sample_rate)
+        out = tmp_path / "out"
+        conf = write_config(tmp_path / "c.conf", speech, out, extra=extra)
+        assert cli.main(["process", "--config", str(conf)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad_wav) in err and "non-finite" in err
+        assert not (out / "metrics.json").exists()
+
     def test_duplicate_key_rejected(self, tmp_path, speech_wav, capsys):
         conf = write_config(tmp_path / "c.conf", speech_wav, tmp_path / "out",
                             extra="run.seed = 43")

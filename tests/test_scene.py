@@ -15,6 +15,8 @@ from binaural_mwf.scene import (
 from binaural_mwf.spatial_stats import Selector, wrap_angle
 from binaural_mwf.stft import analyze
 
+from conftest import identity_filters
+
 
 class TestSteering:
     def test_woodworth_delay_at_90_degrees(self, geometry, cfg):
@@ -183,13 +185,12 @@ class TestSceneSynthesis:
         assert sc.worst_ear == "left"
 
     def test_scene_ipd_matches_steering_model_anechoic(self, speech, geometry, cfg):
-        from binaural_mwf.costs import FilterPair
         from binaural_mwf.metrics import noise_cue_pair
 
         spec = SceneSpec(noise_azimuth=30.0, seed=11, reflection_gain_db=-np.inf)
         sc = synthesize_scene(speech, spec, geometry, cfg)
         sel = Selector.from_geometry(geometry)
-        cues_in, _ = noise_cue_pair(FilterPair.identity(sel, cfg.bin_count), sc, sel)
+        cues_in, _ = noise_cue_pair(identity_filters(sel, cfg.bin_count), sc, sel)
         h = scene_response(geometry, 30.0, 3.0, spec, cfg.freqs).T
         model = np.angle(
             h[:, geometry.ref_left] * np.conj(h[:, geometry.ref_right])
@@ -199,7 +200,6 @@ class TestSceneSynthesis:
         assert dev.mean() < 0.02
 
     def test_measured_noise_ir_sets_input_phase(self, speech, geometry, cfg):
-        from binaural_mwf.costs import FilterPair
         from binaural_mwf.metrics import noise_cue_pair
 
         # noise impulse responses that delay each channel by whole samples
@@ -209,7 +209,7 @@ class TestSceneSynthesis:
         sc = synthesize_scene(speech, SceneSpec(seed=11), geometry, cfg,
                               noise_ir=noise_ir)
         sel = Selector.from_geometry(geometry)
-        cues_in, _ = noise_cue_pair(FilterPair.identity(sel, cfg.bin_count), sc, sel)
+        cues_in, _ = noise_cue_pair(identity_filters(sel, cfg.bin_count), sc, sel)
         lag = delays[geometry.ref_left] - delays[geometry.ref_right]
         model = wrap_angle(-2.0 * np.pi * cfg.freqs * lag / cfg.sample_rate)
         assert cues_in.valid.sum() > 10

@@ -145,6 +145,20 @@ class TestBfgs:
             assert np.abs(w_l - w_star_l).max() < 1e-6 * ref
             assert np.abs(w_r - w_star_r).max() < 1e-6 * ref
 
+    def test_non_finite_start_stops_the_lane(self):
+        evaluated, hessians = [], []
+
+        def objective(x):
+            evaluated.append(x.copy())
+            return np.nan, np.ones(x.size)
+
+        res = minimize_bfgs(objective, np.ones(8), SolverConfig(),
+                            hessian=lambda x: hessians.append(x) or np.eye(x.size))
+        assert len(evaluated) == 1 and not hessians
+        assert res.iterations == 0 and not res.converged
+        assert np.isnan(res.value) and np.isnan(res.start_value)
+        np.testing.assert_array_equal(res.x, np.ones(8))
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             SolverConfig(max_iterations=0)
@@ -392,6 +406,32 @@ class TestSolveAllBins:
                               (alone.converged, base.converged),
                               (alone.flagged, base.flagged)):
                 assert got[0].tobytes() == want[k].tobytes()
+
+    @pytest.mark.parametrize("variant", ["mwf-itd", "mwf-ic"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bin_flagged_alone(self, variant, bad):
+        # an entry of bin 2's Phi_vv away from the reference microphones and
+        # the diagonal leaves its cue defined and its closed-form cost not
+        # finite; the other bins solve to the same bits
+        phi = random_coherence_set(np.random.default_rng(5), 4, 4,
+                                   np.array([250.0, 500.0, 750.0, 1000.0]))
+        sel = Selector(q_l=np.eye(4)[0], q_r=np.eye(4)[2])
+        spec = CostSpec(variant, 40.0)
+        base = solve_all_bins(spec, phi, sel)
+        phi_vv = phi.phi_vv.copy()
+        phi_vv[2, 1, 3] = bad
+        broken = solve_all_bins(spec, CoherenceSet(phi_yy=phi.phi_yy, phi_vv=phi_vv,
+                                                   phi_xx=phi.phi_xx, freqs=phi.freqs), sel)
+        assert not base.flagged[2] and base.iterations[2] > 0
+        assert broken.flagged[2] and not broken.converged[2]
+        assert broken.iterations[2] == 0 and not np.isfinite(broken.cost[2])
+        others = np.arange(4) != 2
+        for got, want in ((broken.filters.w_l, base.filters.w_l),
+                          (broken.filters.w_r, base.filters.w_r),
+                          (broken.cost, base.cost), (broken.iterations, base.iterations),
+                          (broken.converged, base.converged),
+                          (broken.flagged, base.flagged)):
+            assert got[others].tobytes() == want[others].tobytes()
 
     def test_mwf_output_noise_inherits_speech_cues(
         self, scene30, phi30, mwf30, selector, cfg

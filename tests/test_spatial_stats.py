@@ -17,7 +17,7 @@ from binaural_mwf.spatial_stats import (
 )
 from binaural_mwf.stft import SpectralTensor
 
-from conftest import random_psd
+from conftest import identity_filters, random_psd
 
 
 def complex_white(rng, shape):
@@ -161,7 +161,7 @@ class TestOutputCues:
     def test_identity_filters_reproduce_input_cues(self, cfg, geometry, selector):
         rng = np.random.default_rng(5)
         phi = np.stack([random_psd(rng, 6) for _ in range(cfg.bin_count)])
-        identity = FilterPair.identity(selector, cfg.bin_count)
+        identity = identity_filters(selector, cfg.bin_count)
         cin = input_cues(phi, selector, cfg)
         cout = output_cues(phi, identity, cfg)
         np.testing.assert_allclose(cout.ipd, cin.ipd, atol=1e-12)

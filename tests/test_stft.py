@@ -164,6 +164,15 @@ class TestWav:
         with pytest.raises(InvalidInputError):
             read_wav(path, expected_rate=16000)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, tmp_path, bad):
+        x = np.zeros((2, 100))
+        x[1, 37] = bad
+        path = tmp_path / "bad.wav"
+        write_wav(path, x, 16000)
+        with pytest.raises(InvalidInputError, match="bad.wav"):
+            read_wav(path)
+
     def test_mono_shape(self, tmp_path):
         path = tmp_path / "m.wav"
         write_wav(path, np.zeros(100), 16000)

@@ -44,3 +44,19 @@ def test_install_patches_and_restore_puts_back_every_original():
         tracer.restore()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, attr
+
+
+def test_penalized_solve_reaches_the_optimizer_and_the_gated_cost():
+    # one bin below the 1.5 kHz cue cutoff (one lockstep drive) and one above
+    # it (a gated bin, costed through ``combined``)
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        phi = random_coherence_set(np.random.default_rng(1), 4, 2,
+                                   np.array([500.0, 3000.0]))
+        sel = Selector(q_l=np.eye(4)[0], q_r=np.eye(4)[2])
+        solver.solve_all_bins(costs.CostSpec("mwf-ic", 40.0), phi, sel)
+        assert tracer.calls["solver.bfgs"] == 1
+        assert tracer.calls["costs.combined"] >= 1
+    finally:
+        tracer.restore()
