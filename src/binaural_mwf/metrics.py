@@ -2,7 +2,11 @@
 
 All component-wise measures use shadow filtering: the filters computed on
 the mixture are applied separately to the clean speech and noise tensors,
-so the speech and noise portions of every output are known exactly.
+so the speech and noise portions of every output are known exactly.  Only
+one filtered output exists at a time: the speech output is reduced to its
+speech-active power (:func:`active_power`) and dropped before the noise
+output is formed, so an evaluation holds about one two-channel output on
+top of the scene.
 
 Cue errors compare input cues (reference microphones) with output cues
 (filter pair) on the same directly-estimated coherence matrices:
@@ -27,6 +31,7 @@ module builds ``metrics.json`` and ``ic_spectrum.csv``; ``wavio`` writes them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,26 +92,34 @@ def apply_filters(filters: FilterPair, tensor: SpectralTensor) -> SpectralTensor
         raise InvalidInputError("filter length does not match channel count")
     if filters.bin_count != tensor.bin_count:
         raise InvalidInputError("filter bin count does not match tensor")
-    z_l = np.einsum("km,mtk->tk", filters.w_l.conj(), tensor.data)
-    z_r = np.einsum("km,mtk->tk", filters.w_r.conj(), tensor.data)
-    return SpectralTensor(np.stack([z_l, z_r]), tensor.config)
+    data = tensor.data
+    out = np.empty((2,) + data.shape[1:],
+                   dtype=np.result_type(filters.w_l, filters.w_r, data))
+    np.einsum("km,mtk->tk", filters.w_l.conj(), data, out=out[0])
+    np.einsum("km,mtk->tk", filters.w_r.conj(), data, out=out[1])
+    return SpectralTensor(out, tensor.config)
 
 
-def shadow_filter(filters: FilterPair, x: SpectralTensor, v: SpectralTensor):
-    """Apply the filters to the clean components; returns (z_x, z_v)."""
-    if x.data.shape != v.data.shape:
-        raise InvalidInputError("speech and noise tensors have different shapes")
-    return apply_filters(filters, x), apply_filters(filters, v)
+class ActivePower(NamedTuple):
+    """|z|^2 of a two-channel output summed over its speech-active frames."""
+
+    total: np.ndarray  # (ears,), summed over bins as well
+    per_bin: np.ndarray  # (ears, bins)
 
 
-def snr_db(z_x: SpectralTensor, z_v: SpectralTensor, active):
+def active_power(data, active) -> ActivePower:
+    """The speech-active power of (ears, frames, bins) ``data``; |z|^2 is
+    formed once for both sums."""
+    power = np.abs(data[:, np.asarray(active, dtype=bool), :])
+    power **= 2
+    return ActivePower(np.sum(power, axis=(1, 2)), np.sum(power, axis=1))
+
+
+def snr_db(p_x: ActivePower, p_v: ActivePower):
     """Per-ear SNR in dB over speech-active frames and all bins."""
-    active = np.asarray(active, dtype=bool)
-    p_x = np.sum(np.abs(z_x.data[:, active, :]) ** 2, axis=(1, 2))
-    p_v = np.sum(np.abs(z_v.data[:, active, :]) ** 2, axis=(1, 2))
     out = np.full(2, np.inf)
-    nz = p_v > 0
-    out[nz] = 10.0 * np.log10(p_x[nz] / p_v[nz])
+    nz = p_v.total > 0
+    out[nz] = 10.0 * np.log10(p_x.total[nz] / p_v.total[nz])
     return float(out[0]), float(out[1])
 
 
@@ -115,13 +128,10 @@ def _band_edges(centers):
     return centers / factor, centers * factor
 
 
-def band_snrs_db(z_x: SpectralTensor, z_v: SpectralTensor, active, freqs):
+def band_snrs_db(p_x: ActivePower, p_v: ActivePower, freqs):
     """(bands, ears) SNR per one-third-octave band; NaN where silent."""
     lo, hi = _band_edges(SII_BAND_CENTERS)
     nyquist = freqs[-1]
-    active = np.asarray(active, dtype=bool)
-    px = np.sum(np.abs(z_x.data[:, active, :]) ** 2, axis=1)  # (ears, bins)
-    pv = np.sum(np.abs(z_v.data[:, active, :]) ** 2, axis=1)
     out = np.full((SII_BAND_CENTERS.size, 2), np.nan)
     for b, (f_lo, f_hi) in enumerate(zip(lo, hi)):
         if SII_BAND_CENTERS[b] > nyquist:
@@ -129,8 +139,8 @@ def band_snrs_db(z_x: SpectralTensor, z_v: SpectralTensor, active, freqs):
         sel = (freqs >= f_lo) & (freqs < min(f_hi, nyquist + 1e-9))
         if not np.any(sel):
             continue
-        bx = px[:, sel].sum(axis=1)
-        bv = pv[:, sel].sum(axis=1)
+        bx = p_x.per_bin[:, sel].sum(axis=1)
+        bv = p_v.per_bin[:, sel].sum(axis=1)
         ok = (bx > 0) & (bv > 0)
         out[b, ok] = 10.0 * np.log10(bx[ok] / bv[ok])
     return out
@@ -225,11 +235,10 @@ def _reference_terms(scene, selector: Selector):
 
     def compute():
         refs = [selector.index_left, selector.index_right]
-        zx = SpectralTensor(scene.x.data[refs], scene.x.config)
-        zv = SpectralTensor(scene.v.data[refs], scene.v.config)
         active = scene.vad.active
-        return (snr_db(zx, zv, active),
-                band_snrs_db(zx, zv, active, scene.x.config.freqs))
+        p_x = active_power(scene.x.data[refs], active)
+        p_v = active_power(scene.v.data[refs], active)
+        return snr_db(p_x, p_v), band_snrs_db(p_x, p_v, scene.x.config.freqs)
 
     return _scene_term(scene, ("reference",) + _reference_key(selector), compute)
 
@@ -262,15 +271,18 @@ def speech_cue_pair(filters: FilterPair, scene, selector: Selector,
 def evaluate_filters(filters: FilterPair, scene, selector: Selector,
                      cue_cutoff=CUE_CUTOFF_HZ) -> MetricsReport:
     """Full objective report for one filter set on one scene."""
+    if scene.x.data.shape != scene.v.data.shape:
+        raise InvalidInputError("speech and noise tensors have different shapes")
     # the scene's own terms first, so their temporaries are gone before the
-    # filtered outputs exist
+    # filtered outputs exist; each output is dropped once reduced
     _, bands_in = _reference_terms(scene, selector)
-    z_x, z_v = shadow_filter(filters, scene.x, scene.v)
     active = scene.vad.active
-    freqs = scene.x.config.freqs
+    p_x = active_power(apply_filters(filters, scene.x).data, active)
+    p_v = active_power(apply_filters(filters, scene.v).data, active)
 
-    snr_l, snr_r = snr_db(z_x, z_v, active)
-    disnr_l, disnr_r = isnr_gain(band_snrs_db(z_x, z_v, active, freqs), bands_in)
+    snr_l, snr_r = snr_db(p_x, p_v)
+    disnr_l, disnr_r = isnr_gain(band_snrs_db(p_x, p_v, scene.x.config.freqs),
+                                 bands_in)
     cues_n_in, cues_n_out = noise_cue_pair(filters, scene, selector, cue_cutoff)
     cues_s_in, cues_s_out = speech_cue_pair(filters, scene, selector, cue_cutoff)
     ic_mag = np.where(cues_n_out.valid, np.abs(cues_n_out.ic), np.nan)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 from .stft import SpectralTensor, StftConfig, analyze
 
 # Head-shadow law: attenuation of the contralateral array in dB with a
@@ -67,6 +67,7 @@ class ArrayGeometry:
     sound_speed: float = 343.0
 
     def __post_init__(self):
+        require_finite(self, "intra_array_spacing", "head_radius", "sound_speed")
         if self.mics_per_ear < 1:
             raise InvalidInputError("mics_per_ear must be >= 1")
         if self.intra_array_spacing <= 0 or self.head_radius <= 0:
@@ -111,6 +112,15 @@ class SceneSpec:
     reflection_gain_db: float = -16.0
 
     def __post_init__(self):
+        require_finite(self, "speech_azimuth", "noise_azimuth", "speech_distance",
+                       "noise_distance", "noise_cutoff")
+        # the documented infinities: +inf dB SNR removes the noise, and
+        # -inf dB turns the sensor-noise or reflection term off
+        if not self.target_snr_worst_ear > -np.inf:
+            raise InvalidInputError("target_snr_worst_ear must be a level in dB or inf")
+        for name in ("sensor_noise_db", "reflection_gain_db"):
+            if not getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be a level in dB or -inf")
         if self.speech_distance <= 0 or self.noise_distance <= 0:
             raise InvalidInputError("source distances must be positive")
         for az in (self.speech_azimuth, self.noise_azimuth):
@@ -326,13 +336,20 @@ def synthetic_speech(duration, sample_rate, seed):
     return 0.9 * sig / peak
 
 
+def _squared_magnitude(data):
+    """|data|^2, squared in place: one real array the size of ``data``."""
+    power = np.abs(data)
+    power **= 2
+    return power
+
+
 def ideal_vad(clean_speech: SpectralTensor, threshold_db=40.0) -> VadLabels:
     """Label frames whose energy is within ``threshold_db`` of the peak frame.
 
     Energy is summed over channels and bins.  ``threshold_db`` is the depth
     below the loudest frame still counted as active (0 keeps only the peak).
     """
-    energy = np.sum(np.abs(clean_speech.data) ** 2, axis=(0, 2))
+    energy = np.sum(_squared_magnitude(clean_speech.data), axis=(0, 2))
     peak = energy.max() if energy.size else 0.0
     if peak <= 0.0:
         raise InvalidInputError("all-zero tensor has no speech activity")
@@ -382,8 +399,9 @@ def synthesize_scene(
         return _filter_multichannel(signal, lambda n_fft: np.fft.rfft(ir, n=n_fft),
                                     max(_PARAMETRIC_PAD, ir.shape[1]))
 
+    # each steered signal is analyzed, and dropped, as soon as it exists
     n = speech.size
-    x_t = steer(speech, spec.speech_azimuth, spec.speech_distance, speech_ir)
+    x = analyze(steer(speech, spec.speech_azimuth, spec.speech_distance, speech_ir), cfg)
 
     rng = np.random.default_rng(np.uint64(spec.seed))
     noise = rng.standard_normal(n)
@@ -395,9 +413,8 @@ def synthesize_scene(
         np.mean(v_t**2)
     )
     v_t = v_t + floor_scale * rng.standard_normal(v_t.shape)
-
-    x = analyze(x_t, cfg)
     v = analyze(v_t, cfg)
+    del v_t
     vad = ideal_vad(x)
     if vad.active_count < 2 or vad.frame_count - vad.active_count < 2:
         raise InvalidInputError(
@@ -407,7 +424,7 @@ def synthesize_scene(
     if noise_ir is None and spec.noise_azimuth != 0:
         worst_ear = "right" if spec.noise_azimuth > 0 else "left"
     else:
-        pv = np.sum(np.abs(v.data) ** 2, axis=(1, 2))
+        pv = np.sum(_squared_magnitude(v.data), axis=(1, 2))
         worst_ear = "right" if pv[geometry.ref_right] >= pv[geometry.ref_left] else "left"
     ref = geometry.ref_right if worst_ear == "right" else geometry.ref_left
 
@@ -419,7 +436,7 @@ def synthesize_scene(
     else:
         snr0 = 10.0 * np.log10(p_speech / p_noise)
         gain = 10.0 ** ((snr0 - spec.target_snr_worst_ear) / 20.0)
-    v = SpectralTensor(v.data * gain, cfg)
+    v.data *= gain
     y = SpectralTensor(x.data + v.data, cfg)
 
     return SceneData(y=y, x=x, v=v, vad=vad, worst_ear=worst_ear)

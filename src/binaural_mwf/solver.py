@@ -44,7 +44,7 @@ from .costs import (  # noqa: F401
     penalty_cue,
     unpack_filters,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 from .spatial_stats import CoherenceSet, Selector
 from .wavio import write_csv
 
@@ -71,6 +71,7 @@ class SolverConfig:
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
+        require_finite(self, "gradient_tolerance")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
         if self.gradient_tolerance <= 0:

@@ -2,8 +2,10 @@
 
 Coherence matrices are sample averages of frame outer products over the VAD
 classes; the speech matrix is the noise-subtracted estimate projected back
-onto the positive semi-definite cone.  Cues of a filter pair (w_l, w_r)
-against a noise matrix Phi are
+onto the positive semi-definite cone.  The averages are reduced one bin at a
+time, so an estimate holds two (M, frames) copies of one bin's frames, not
+a masked or conjugated copy of the whole tensor.  Cues of a filter pair
+(w_l, w_r) against a noise matrix Phi are
 
     ipd = angle(w_l^H Phi w_r)
     ic  = (w_l^H Phi w_r) / sqrt((w_l^H Phi w_l)(w_r^H Phi w_r))
@@ -111,14 +113,25 @@ class CueEstimate:
 def covariance_per_bin(data, frame_mask=None):
     """data (M, T, K) -> (K, M, M) average of frame outer products.
 
-    ``frame_mask`` selects the frames; without it every frame is averaged,
-    with no masked copy of ``data``.
+    ``frame_mask`` selects the frames; without it every frame is averaged.
+    One bin is reduced at a time, from a contiguous (M, T) copy of its
+    frames, so no masked or conjugated copy of ``data`` exists.  The result
+    keeps the bin axis innermost in memory (its (M, M, K) buffer viewed as
+    (K, M, M)), the layout of the single whole-tensor reduction it replaces;
+    the per-bin products of ``costs`` depend on that layout.
     """
-    sel = data if frame_mask is None else data[:, frame_mask, :]
-    t = sel.shape[1]
+    m, t, bins = data.shape
+    frames = slice(None)
+    if frame_mask is not None:
+        frames = np.asarray(frame_mask, dtype=bool)
+        t = int(np.count_nonzero(frames))
     if t < 2:
         raise InvalidInputError("need at least two frames for a covariance estimate")
-    cov = np.einsum("mtk,ntk->kmn", sel, sel.conj()) / t
+    cov = np.empty((m, m, bins), dtype=data.dtype)
+    for k in range(bins):
+        a = np.ascontiguousarray(data[:, frames, k])
+        np.einsum("mt,nt->mn", a, a.conj(), out=cov[:, :, k])
+    cov = np.transpose(cov, (2, 0, 1)) / t
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 

@@ -5,6 +5,11 @@ to the FFT size and transformed to a one-sided spectrum.  Analysis and
 synthesis use one taper w: synthesis applies w to each inverse-transformed
 frame, overlap-adds, and normalises by the accumulated w^2 so the round trip
 is exact wherever the overlap-add sum is nonzero.
+
+Both directions work through ``_BLOCK_FRAMES`` frames at a time, so besides
+their input and output they hold only one block of tapered frames: a
+60 s signal needs no frame tensor of its own.  Each frame is transformed by
+itself either way, so the blocks change no value.
 """
 
 from __future__ import annotations
@@ -14,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 
 # Relative deviation allowed for the constant-overlap-add check.
 _COLA_TOL = 1e-10
+
+# Frames tapered and transformed per step of analyze and synthesize.
+_BLOCK_FRAMES = 64
 
 
 def window(name, length):
@@ -44,6 +52,7 @@ class StftConfig:
     window: str = "sqrt_hann"
 
     def __post_init__(self):
+        require_finite(self, "sample_rate")
         if self.fft_size < 1 or self.window_len < 1 or self.hop < 1:
             raise InvalidInputError("fft_size, window_len and hop must be positive")
         if self.window_len % self.hop != 0:
@@ -136,12 +145,13 @@ def analyze(audio, cfg: StftConfig) -> SpectralTensor:
     tapered, zero-padded to ``fft_size`` and transformed with a real FFT.
     """
     x = _as_channel_matrix(audio)
-    n = x.shape[1]
-    n_frames = cfg.frame_count(n)
+    n_frames = cfg.frame_count(x.shape[1])
     w = window(cfg.window, cfg.window_len)
     frames = sliding_window_view(x, cfg.window_len, axis=1)[:, :: cfg.hop, :]
-    frames = frames[:, :n_frames, :]
-    data = np.fft.rfft(frames * w, n=cfg.fft_size, axis=2)
+    data = np.empty((x.shape[0], n_frames, cfg.bin_count), dtype=complex)
+    for first in range(0, n_frames, _BLOCK_FRAMES):
+        block = slice(first, first + _BLOCK_FRAMES)
+        np.fft.rfft(frames[:, block] * w, n=cfg.fft_size, axis=2, out=data[:, block])
     return SpectralTensor(data, cfg)
 
 
@@ -157,18 +167,19 @@ def synthesize(spec: SpectralTensor) -> np.ndarray:
     if spec.frame_count == 0:
         raise InvalidInputError("tensor has no frames")
     w = window(cfg.window, cfg.window_len)
-    frames_t = np.fft.irfft(spec.data, n=cfg.fft_size, axis=2)[..., : cfg.window_len]
-    frames_t = frames_t * w
-    n_ch, n_frames, _ = frames_t.shape
+    n_ch, n_frames, _ = spec.data.shape
     out_len = (n_frames - 1) * cfg.hop + cfg.window_len
     out = np.zeros((n_ch, out_len))
     norm = np.zeros(out_len)
     prod = w * w
-    for t in range(n_frames):
-        start = t * cfg.hop
-        out[:, start : start + cfg.window_len] += frames_t[:, t, :]
-        norm[start : start + cfg.window_len] += prod
+    for first in range(0, n_frames, _BLOCK_FRAMES):
+        frames_t = np.fft.irfft(spec.data[:, first : first + _BLOCK_FRAMES],
+                                n=cfg.fft_size, axis=2)[..., : cfg.window_len] * w
+        for i in range(frames_t.shape[1]):
+            start = (first + i) * cfg.hop
+            out[:, start : start + cfg.window_len] += frames_t[:, i, :]
+            norm[start : start + cfg.window_len] += prod
     covered = norm > 1e-12 * max(norm.max(), 1.0)
-    out[:, covered] /= norm[covered]
+    np.divide(out, norm, out=out, where=covered)
     out[:, ~covered] = 0.0
     return out

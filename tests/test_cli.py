@@ -129,6 +129,44 @@ class TestConfigParsing:
                                                 no_scene, line, key):
         assert_rejected(tmp_path, speech_wav, capsys, "process", line, key)
 
+    # a NaN or an infinity is rejected with its section before any audio is
+    # read; unchecked, these fail in an eigendecomposition, silently switch
+    # a term off or drop the noise.  The documented infinities stay valid
+    # (test_scene.py).
+    @pytest.mark.parametrize("line", [
+        "solver.gradient_tolerance = inf",
+        "solver.gradient_tolerance = nan",
+        "scene.speech_azimuth = nan",
+        "scene.noise_azimuth = nan",
+        "scene.noise_cutoff = nan",
+        "scene.noise_cutoff = inf",
+        "scene.speech_distance = nan",
+        "scene.noise_distance = inf",
+        "scene.target_snr_worst_ear = nan",
+        "scene.target_snr_worst_ear = -inf",
+        "scene.sensor_noise_db = nan",
+        "scene.sensor_noise_db = inf",
+        "scene.reflection_gain_db = nan",
+        "scene.reflection_gain_db = inf",
+        "array.sound_speed = inf",
+        "array.head_radius = nan",
+        "array.intra_array_spacing = inf",
+        "stft.sample_rate = inf",
+        "stft.sample_rate = nan",
+    ])
+    def test_non_finite_value_names_section(self, tmp_path, speech_wav, capsys,
+                                            no_scene, line):
+        section, name = line.split("=")[0].strip().split(".")
+        out = tmp_path / "out"
+        # no other scene line, so any scene key can be the one under test
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"scene.speech_wav = {speech_wav}\nrun.out_dir = {out}\n"
+                        f"run.variants = mwf, mwf-ic\nrun.alpha = 40\n{line}\n")
+        assert cli.main(["process", "--config", str(conf)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{section}'" in err and name in err
+        assert not out.exists()
+
     def test_noise_ir_channel_count_checked(self, tmp_path, speech_wav, capsys):
         ir_wav = tmp_path / "noise_ir.wav"
         wavio.write_wav(ir_wav, np.eye(2, 16), StftConfig().sample_rate)

@@ -1,0 +1,63 @@
+"""Working-memory bounds of the streamed closed-form operations.
+
+tracemalloc sees numpy's allocations.  Each bound is on the transient of one
+call: its traced peak above the level at the start, the returned arrays
+included, relative to the size of the tensor the call reads.  Whole-tensor
+temporaries (a masked or conjugated copy, a frame tensor, both filtered
+outputs at once) each cost a large fraction of that size, so any one of them
+coming back breaks a bound.
+"""
+
+import dataclasses
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from binaural_mwf.metrics import apply_filters, evaluate_filters
+from binaural_mwf.spatial_stats import covariance_per_bin
+from binaural_mwf.stft import synthesize
+
+
+def transient(fn, *args, **kwargs):
+    """Bytes ``fn(*args, **kwargs)`` allocated at its peak beyond the start."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if tracing:
+        tracemalloc.reset_peak()
+    else:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    del result
+    return peak - start
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all frames", "masked"])
+def test_covariance_holds_one_bin_at_a_time(masked):
+    rng = np.random.default_rng(0)
+    shape = (6, 4000, 129)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mask = rng.uniform(size=shape[1]) < 0.6 if masked else None
+    assert transient(covariance_per_bin, data, mask) < 0.1 * data.nbytes
+
+
+def test_synthesis_holds_one_block_of_frames(scene30, mwf30):
+    enhanced = apply_filters(mwf30.filters, scene30.y)
+    assert transient(synthesize, enhanced) < 1.0 * enhanced.data.nbytes
+
+
+def test_evaluation_holds_one_filtered_output(scene30, mwf30, selector):
+    # a copy starts without the scene's cached terms, so the first call
+    # computes them too
+    fresh = dataclasses.replace(scene30)
+    size = fresh.x.data.nbytes
+    for call in ("first", "later"):
+        used = transient(evaluate_filters, mwf30.filters, fresh, selector)
+        assert used < 0.8 * size, f"{call} call: {used / size:.2f} of the tensor"

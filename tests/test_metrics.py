@@ -13,6 +13,7 @@ from binaural_mwf.metrics import (
     SII_BAND_CENTERS,
     SII_BAND_WEIGHTS,
     _reference_terms,
+    active_power,
     apply_filters,
     band_snrs_db,
     delta_itd,
@@ -23,7 +24,6 @@ from binaural_mwf.metrics import (
     isnr_gain,
     noise_cue_pair,
     report_to_json,
-    shadow_filter,
     snr_db,
     write_ic_spectrum_csv,
 )
@@ -42,6 +42,16 @@ from conftest import identity_filters, random_psd
 
 def complex_white(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def shadow_filter(filters, x, v):
+    """The filters applied to the clean components one at a time."""
+    return apply_filters(filters, x), apply_filters(filters, v)
+
+
+def powers(z_x, z_v, active):
+    """Speech-active powers of two filtered outputs."""
+    return active_power(z_x.data, active), active_power(z_v.data, active)
 
 
 def make_cues(cfg, ipd, ic_abs):
@@ -77,12 +87,13 @@ class TestShadowFilter:
         z_y = apply_filters(mwf30.filters, scene30.y)
         np.testing.assert_allclose(z_x.data + z_v.data, z_y.data, atol=1e-12)
 
-    def test_shape_mismatch_rejected(self, scene30, mwf30, cfg):
+    def test_shape_mismatch_rejected(self, scene30, mwf30, selector, cfg):
         small = SpectralTensor(
             scene30.v.data[:, : scene30.v.frame_count // 2, :], cfg
         )
         with pytest.raises(InvalidInputError):
-            shadow_filter(mwf30.filters, scene30.x, small)
+            evaluate_filters(mwf30.filters, dataclasses.replace(scene30, v=small),
+                             selector)
 
 
 class TestSnr:
@@ -91,7 +102,7 @@ class TestSnr:
         a = complex_white(rng, (2, 50, cfg.bin_count))
         x = SpectralTensor(a, cfg)
         v = SpectralTensor(np.roll(a, 7, axis=1), cfg)
-        l, r = snr_db(x, v, np.ones(50, dtype=bool))
+        l, r = snr_db(*powers(x, v, np.ones(50, dtype=bool)))
         assert l == pytest.approx(0.0, abs=1e-12)
         assert r == pytest.approx(0.0, abs=1e-12)
 
@@ -100,14 +111,14 @@ class TestSnr:
         a = complex_white(rng, (2, 50, cfg.bin_count))
         x = SpectralTensor(a, cfg)
         v = SpectralTensor(0.1 * a.copy(), cfg)
-        l, r = snr_db(x, v, np.ones(50, dtype=bool))
+        l, r = snr_db(*powers(x, v, np.ones(50, dtype=bool)))
         assert l == pytest.approx(20.0, abs=1e-9)
 
     def test_zero_noise_flagged_infinite(self, cfg):
         rng = np.random.default_rng(2)
         x = SpectralTensor(complex_white(rng, (2, 10, cfg.bin_count)), cfg)
         v = SpectralTensor(np.zeros_like(x.data), cfg)
-        l, r = snr_db(x, v, np.ones(10, dtype=bool))
+        l, r = snr_db(*powers(x, v, np.ones(10, dtype=bool)))
         assert np.isinf(l) and np.isinf(r)
 
     def test_scene_input_snr_calibrated(self, scene30, selector):
@@ -123,7 +134,7 @@ class TestDeltaIsnr:
     def test_no_processing_gives_zero(self, scene30, selector):
         identity = identity_filters(selector, scene30.x.bin_count)
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
-        bands = band_snrs_db(z_x, z_v, scene30.vad.active, scene30.x.freqs)
+        bands = band_snrs_db(*powers(z_x, z_v, scene30.vad.active), scene30.x.freqs)
         l, r = isnr_gain(bands, bands)
         assert l == 0.0 and r == 0.0
 
@@ -132,8 +143,8 @@ class TestDeltaIsnr:
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
         boosted = SpectralTensor(z_v.data * 10 ** (-6.0 / 20.0), cfg)
         active = scene30.vad.active
-        l, r = isnr_gain(band_snrs_db(z_x, boosted, active, cfg.freqs),
-                         band_snrs_db(z_x, z_v, active, cfg.freqs))
+        l, r = isnr_gain(band_snrs_db(*powers(z_x, boosted, active), cfg.freqs),
+                         band_snrs_db(*powers(z_x, z_v, active), cfg.freqs))
         assert l == pytest.approx(6.0, abs=1e-9)
         assert r == pytest.approx(6.0, abs=1e-9)
 
@@ -146,8 +157,8 @@ class TestDeltaIsnr:
         modified[:, :, low] *= 0.01
         active = scene30.vad.active
         l, r = isnr_gain(
-            band_snrs_db(z_x, SpectralTensor(modified, cfg), active, cfg.freqs),
-            band_snrs_db(z_x, z_v, active, cfg.freqs),
+            band_snrs_db(*powers(z_x, SpectralTensor(modified, cfg), active), cfg.freqs),
+            band_snrs_db(*powers(z_x, z_v, active), cfg.freqs),
         )
         assert abs(l) < 1e-9 and abs(r) < 1e-9
 
@@ -223,13 +234,122 @@ class TestEndToEnd:
         np.testing.assert_allclose(np.abs(cues.ic[cues.valid]), 1.0, atol=1e-9)
 
 
+# Frozen one-shot forms of the filtering and the power reductions: both
+# ears stacked from two einsum results, and each SNR measure forming its own
+# |z|^2 of the speech-active frames of both outputs.
+
+def one_shot_apply_filters(filters, tensor):
+    z_l = np.einsum("km,mtk->tk", filters.w_l.conj(), tensor.data)
+    z_r = np.einsum("km,mtk->tk", filters.w_r.conj(), tensor.data)
+    return SpectralTensor(np.stack([z_l, z_r]), tensor.config)
+
+
+def one_shot_snr_db(z_x, z_v, active):
+    active = np.asarray(active, dtype=bool)
+    p_x = np.sum(np.abs(z_x.data[:, active, :]) ** 2, axis=(1, 2))
+    p_v = np.sum(np.abs(z_v.data[:, active, :]) ** 2, axis=(1, 2))
+    out = np.full(2, np.inf)
+    nz = p_v > 0
+    out[nz] = 10.0 * np.log10(p_x[nz] / p_v[nz])
+    return float(out[0]), float(out[1])
+
+
+def one_shot_band_snrs_db(z_x, z_v, active, freqs):
+    lo, hi = SII_BAND_CENTERS / 2.0 ** (1.0 / 6.0), SII_BAND_CENTERS * 2.0 ** (1.0 / 6.0)
+    nyquist = freqs[-1]
+    active = np.asarray(active, dtype=bool)
+    px = np.sum(np.abs(z_x.data[:, active, :]) ** 2, axis=1)
+    pv = np.sum(np.abs(z_v.data[:, active, :]) ** 2, axis=1)
+    out = np.full((SII_BAND_CENTERS.size, 2), np.nan)
+    for b, (f_lo, f_hi) in enumerate(zip(lo, hi)):
+        if SII_BAND_CENTERS[b] > nyquist:
+            continue
+        sel = (freqs >= f_lo) & (freqs < min(f_hi, nyquist + 1e-9))
+        if not np.any(sel):
+            continue
+        bx = px[:, sel].sum(axis=1)
+        bv = pv[:, sel].sum(axis=1)
+        ok = (bx > 0) & (bv > 0)
+        out[b, ok] = 10.0 * np.log10(bx[ok] / bv[ok])
+    return out
+
+
 def frozen_reference_terms(scene, selector):
     """The unprocessed terms as computed before they read the reference
     channels directly: the pass-through filter pair, shadow-filtered."""
     identity = identity_filters(selector, scene.x.bin_count)
-    zx, zv = shadow_filter(identity, scene.x, scene.v)
+    zx = one_shot_apply_filters(identity, scene.x)
+    zv = one_shot_apply_filters(identity, scene.v)
     active = scene.vad.active
-    return snr_db(zx, zv, active), band_snrs_db(zx, zv, active, scene.x.config.freqs)
+    return (one_shot_snr_db(zx, zv, active),
+            one_shot_band_snrs_db(zx, zv, active, scene.x.config.freqs))
+
+
+def random_scene(rng, cfg, mics, frames, zero_fraction):
+    """A hand-built scene whose tensors have exact zeros: scattered entries,
+    and whole channels or bins."""
+    shape = (mics, frames, cfg.bin_count)
+
+    def tensor():
+        values = complex_white(rng, shape) * 10.0 ** rng.uniform(-3, 3)
+        values[rng.uniform(size=shape) < zero_fraction] = 0.0
+        values[rng.uniform(size=mics) < 0.2] = 0.0
+        values[:, :, rng.uniform(size=shape[2]) < 0.2] = 0.0
+        return SpectralTensor(values, cfg)
+
+    x, v = tensor(), tensor()
+    return SceneData(y=SpectralTensor(x.data + v.data, cfg), x=x, v=v,
+                     vad=VadLabels(rng.uniform(size=frames) < 0.5), worst_ear="right")
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+class TestStreamedMetricsMatchOneShotForms:
+    CFG = StftConfig()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        mics=st.integers(1, 8),
+        frames=st.integers(2, 40),
+        zero_fraction=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+        zero_filters=st.booleans(),
+    )
+    def test_bitwise_equal(self, seed, mics, frames, zero_fraction, zero_filters):
+        rng = np.random.default_rng(seed)
+        scene = random_scene(rng, self.CFG, mics, frames, zero_fraction)
+        k = self.CFG.bin_count
+        filters = FilterPair(w_l=complex_white(rng, (k, mics)),
+                             w_r=complex_white(rng, (k, mics)) * 10.0 ** rng.uniform(-3, 3))
+        if zero_filters:
+            filters.w_r[rng.uniform(size=k) < 0.5] = 0.0
+        active = scene.vad.active
+        z_x = apply_filters(filters, scene.x)
+        z_v = apply_filters(filters, scene.v)
+        assert_bitwise(z_x.data, one_shot_apply_filters(filters, scene.x).data)
+        assert_bitwise(z_v.data, one_shot_apply_filters(filters, scene.v).data)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snr_want = one_shot_snr_db(z_x, z_v, active)
+            bands_want = one_shot_band_snrs_db(z_x, z_v, active, self.CFG.freqs)
+            p_x, p_v = powers(z_x, z_v, active)
+            assert_bitwise(snr_db(p_x, p_v), snr_want)
+            assert_bitwise(band_snrs_db(p_x, p_v, self.CFG.freqs), bands_want)
+            # a report needs two ears and two speech-active frames
+            if mics >= 2 and scene.vad.active_count >= 2:
+                selector = Selector(q_l=np.eye(mics)[0], q_r=np.eye(mics)[mics - 1])
+                report = evaluate_filters(filters, scene, selector)
+                bands_in = frozen_reference_terms(scene, selector)[1]
+                assert_bitwise([report.snr_l, report.snr_r], snr_want)
+                assert_bitwise([report.disnr_l, report.disnr_r],
+                               isnr_gain(bands_want, bands_in))
+                assert_bitwise(input_snr_db(scene, selector),
+                               frozen_reference_terms(scene, selector)[0])
 
 
 def frozen_input_noise_cues(scene, selector, cue_cutoff):
@@ -257,20 +377,8 @@ class TestUnprocessedMatchesFrozenIdentityPath:
         il = data.draw(st.integers(0, mics - 1), label="left reference")
         ir = data.draw(st.integers(0, mics - 1), label="right reference")
         selector = Selector(q_l=np.eye(mics)[il], q_r=np.eye(mics)[ir])
-        shape = (mics, frames, self.CFG.bin_count)
-
-        def tensor():
-            # exact zeros: scattered entries, and whole channels or bins
-            values = complex_white(rng, shape) * 10.0 ** rng.uniform(-3, 3)
-            values[rng.uniform(size=shape) < zero_fraction] = 0.0
-            values[rng.uniform(size=mics) < 0.2] = 0.0
-            values[:, :, rng.uniform(size=shape[2]) < 0.2] = 0.0
-            return SpectralTensor(values, self.CFG)
-
-        x, v = tensor(), tensor()
-        scene = SceneData(y=SpectralTensor(x.data + v.data, self.CFG), x=x, v=v,
-                          vad=VadLabels(rng.uniform(size=frames) < 0.5),
-                          worst_ear="right")
+        scene = random_scene(rng, self.CFG, mics, frames, zero_fraction)
+        v = scene.v
         with np.errstate(divide="ignore"):
             snr_want, bands_want = frozen_reference_terms(scene, selector)
             snr_got = input_snr_db(scene, selector)

@@ -260,6 +260,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             SceneSpec(noise_azimuth=95.0)
 
+    def test_documented_infinities_accepted(self):
+        # +inf dB SNR removes the noise; -inf dB turns a term off
+        spec = SceneSpec(target_snr_worst_ear=np.inf, sensor_noise_db=-np.inf,
+                         reflection_gain_db=-np.inf)
+        assert spec.target_snr_worst_ear == np.inf
+
     def test_bad_geometry(self):
         with pytest.raises(InvalidInputError):
             ArrayGeometry(mics_per_ear=0)

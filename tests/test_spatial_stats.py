@@ -8,6 +8,7 @@ from binaural_mwf.costs import FilterPair
 from binaural_mwf.scene import VadLabels, steered_tensor, steering_vector
 from binaural_mwf.spatial_stats import (
     Selector,
+    covariance_per_bin,
     cues_to_csv,
     estimate_coherence,
     input_cues,
@@ -89,6 +90,43 @@ class TestEstimateCoherence:
             vals = np.linalg.eigvalsh(mats)
             traces = np.trace(mats, axis1=1, axis2=2).real
             assert np.all(vals[:, 0] >= -1e-10 * np.maximum(traces, 1e-30))
+
+
+def one_shot_covariance(data, frame_mask=None):
+    """Frozen whole-tensor form: one einsum over a masked copy of the frames."""
+    sel = data if frame_mask is None else data[:, frame_mask, :]
+    cov = np.einsum("mtk,ntk->kmn", sel, sel.conj()) / sel.shape[1]
+    return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
+
+
+class TestCovarianceMatchesOneShotForm:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        mics=st.integers(1, 8),
+        frames=st.integers(2, 3000),
+        bins=st.integers(1, 129),
+        mask=st.sampled_from(["none", "random", "all"]),
+        zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+    )
+    def test_bitwise_equal(self, seed, mics, frames, bins, mask, zero_fraction):
+        rng = np.random.default_rng(seed)
+        shape = (mics, frames, bins)
+        data = complex_white(rng, shape) * 10.0 ** rng.uniform(-3, 3)
+        data[rng.uniform(size=shape) < zero_fraction] = 0.0
+        data[rng.uniform(size=mics) < 0.2] = 0.0
+        frame_mask = {"none": None, "all": np.ones(frames, dtype=bool),
+                      "random": rng.uniform(size=frames) < 0.5}[mask]
+        if mask == "random":
+            frame_mask[rng.choice(frames, 2, replace=False)] = True
+        got = covariance_per_bin(data, frame_mask)
+        want = one_shot_covariance(data, frame_mask)
+        # the bin axis stays innermost in memory: per-bin products in costs
+        # depend on it
+        assert got.strides == want.strides and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+        np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 class TestPsdFloor:

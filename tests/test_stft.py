@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from binaural_mwf import InvalidInputError
-from binaural_mwf.stft import SpectralTensor, StftConfig, analyze, synthesize, window
+from binaural_mwf.stft import (
+    _BLOCK_FRAMES,
+    SpectralTensor,
+    StftConfig,
+    analyze,
+    synthesize,
+    window,
+)
 from binaural_mwf.wavio import read_wav, write_wav
 
 
@@ -144,6 +152,75 @@ class TestSynthesize:
     def test_malformed_tensor_rejected(self, cfg):
         with pytest.raises(InvalidInputError):
             SpectralTensor(np.zeros((2, 4, 100), dtype=complex), cfg)
+
+
+def one_shot_analyze(x, cfg):
+    """Frozen whole-signal analysis: every frame tapered, then one rfft."""
+    n_frames = cfg.frame_count(x.shape[1])
+    w = window(cfg.window, cfg.window_len)
+    frames = sliding_window_view(x, cfg.window_len, axis=1)[:, :: cfg.hop, :]
+    frames = frames[:, :n_frames, :]
+    return np.fft.rfft(frames * w, n=cfg.fft_size, axis=2)
+
+
+def one_shot_synthesize(spec):
+    """Frozen whole-tensor synthesis: one irfft of every frame, then WOLA."""
+    cfg = spec.config
+    w = window(cfg.window, cfg.window_len)
+    frames_t = np.fft.irfft(spec.data, n=cfg.fft_size, axis=2)[..., : cfg.window_len]
+    frames_t = frames_t * w
+    n_ch, n_frames, _ = frames_t.shape
+    out_len = (n_frames - 1) * cfg.hop + cfg.window_len
+    out = np.zeros((n_ch, out_len))
+    norm = np.zeros(out_len)
+    prod = w * w
+    for t in range(n_frames):
+        start = t * cfg.hop
+        out[:, start : start + cfg.window_len] += frames_t[:, t, :]
+        norm[start : start + cfg.window_len] += prod
+    covered = norm > 1e-12 * max(norm.max(), 1.0)
+    out[:, covered] /= norm[covered]
+    out[:, ~covered] = 0.0
+    return out
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+class TestBlocksMatchOneShotForms:
+    """Block-wise analysis and synthesis equal the whole-tensor forms bit for
+    bit, at frame counts around one and two blocks."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        channels=st.integers(1, 3),
+        frames=st.sampled_from([_BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1,
+                                2 * _BLOCK_FRAMES + 3]),
+        name=st.sampled_from(["sqrt_hann", "rect"]),
+        geometry=st.sampled_from([(256, 128, 64), (512, 256, 128)]),
+        tail=st.integers(0, 63),
+    )
+    def test_bitwise_equal(self, seed, channels, frames, name, geometry, tail):
+        fft_size, window_len, hop = geometry
+        cfg = StftConfig(fft_size=fft_size, window_len=window_len, hop=hop, window=name)
+        rng = np.random.default_rng(seed)
+        n = (frames - 1) * hop + window_len + tail
+        x = rng.standard_normal((channels, n)) * 10.0 ** rng.uniform(-3, 3)
+        x[:, rng.integers(0, n) :][:, : rng.integers(0, 4 * window_len)] = 0.0
+        spec = analyze(x, cfg)
+        assert spec.frame_count == frames
+        assert_bitwise(spec.data, one_shot_analyze(x, cfg))
+
+        data = spec.data * np.exp(2j * np.pi * rng.uniform(size=cfg.bin_count))
+        data[:, rng.uniform(size=frames) < 0.1] = 0.0
+        tensor = SpectralTensor(data, cfg)
+        assert_bitwise(synthesize(tensor), one_shot_synthesize(tensor))
 
 
 class TestWav:
