@@ -12,11 +12,12 @@ Runs are configured by a flat key-value file with dotted section prefixes
 (``scene.noise_azimuth = 60``); a key's suffix is the field it sets.  Every
 key is validated against the schema below before any audio is read: an
 unknown, repeated or ill-typed key, a repeated variant or an invalid
-``run.*`` weighting value exits 1 naming the key, and invalid ``array``,
-``stft``, ``scene`` or ``solver`` values exit 1 naming the section.  All
-randomness derives from one seed (``run.seed``, overridable with
-``--seed``), so identical configurations produce byte-identical artifacts,
-which ``wavio`` writes.
+``run.*`` weighting value exits 1 naming the key, as do ``process`` with
+both ``run.alpha`` and ``run.calibrate`` and ``calibrate`` without a
+penalized variant; invalid ``array``, ``stft``, ``scene`` or ``solver``
+values exit 1 naming the section.  All randomness derives from one seed
+(``run.seed``, overridable with ``--seed``), so identical configurations
+produce byte-identical artifacts, which ``wavio`` writes.
 
 Exit codes: 0 success, 1 invalid configuration, 2 I/O failure, 3 solver
 non-convergence on more than 10% of bins.
@@ -264,6 +265,8 @@ def cmd_process(cfg: RunConfig):
     if penalized and cfg.alpha is None and cfg.calibrate is None:
         raise ConfigError("run.alpha", f"required for variant {penalized[0]} "
                           "(or set run.calibrate)")
+    if cfg.alpha is not None and cfg.calibrate is not None:
+        raise ConfigError("run.calibrate", "set run.alpha or run.calibrate, not both")
     scene, selector, phi = _prepare(cfg)
 
     results = {v: _solve_variant(cfg, v, scene, selector, phi) for v in cfg.variants}
@@ -333,12 +336,13 @@ def cmd_sweep(cfg: RunConfig):
 
 
 def cmd_calibrate(cfg: RunConfig):
+    penalized = [v for v in cfg.variants if v != "mwf"]
+    if not penalized:
+        raise ConfigError("run.variants", "calibrate needs mwf-itd or mwf-ic")
     loss = solver.DEFAULT_LOSS_FRACTION if cfg.calibrate is None else cfg.calibrate
     scene, selector, phi = _prepare(cfg)
     doc = {"seed": cfg.seed, "loss_fraction": loss, "variants": {}}
-    for variant in cfg.variants:
-        if variant == "mwf":
-            continue
+    for variant in penalized:
         cal = _calibrate(cfg, variant, loss, scene, selector, phi)
         doc["variants"][variant] = {
             "alpha": cal.alpha,

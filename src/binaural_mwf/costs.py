@@ -19,11 +19,12 @@ Wiener gradient keeps line searches finite near w = 0.
 One stacked kernel evaluates every cost.  Each term is a class whose
 constructor computes the filter-independent parts of B bins (lanes)
 stacked on a leading axis, and whose value and gradient come from stacked
-numpy operations over all lanes at once.  :class:`BinObjective` combines
-them for an optimizer's lanes; the one-bin functions (``j_w``, ``j_ipd``,
-``j_ic``, ``combined``) run the kernel with B = 1.  A penalty term builds
-its parameter derivatives once per evaluation, as whole 4M vectors, and
-its gradient and its one-lane Hessian (entered through
+numpy operations over the listed lanes (every lane by default), whose rows
+it reads by index; nothing is kept between calls.  :class:`BinObjective`
+combines them for an optimizer's lanes; the one-bin functions (``j_w``,
+``j_ipd``, ``j_ic``, ``combined``) run the kernel with B = 1.  A penalty
+term builds its parameter derivatives once per evaluation, as whole 4M
+vectors, and its gradient and its one-lane Hessian (entered through
 ``BinObjective.hessian``) both read them.  ``_pack_pairs`` and
 ``_unpack_pairs`` are the one packed-parameter layout.
 
@@ -39,7 +40,6 @@ without touching the others.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,14 +207,6 @@ def _guarded(live, values, grads):
     return all_values, all_grads, ~live
 
 
-def _take(term, lanes):
-    """A copy of ``term`` holding only the listed lanes of its arrays."""
-    sub = copy.copy(term)
-    for name, value in vars(term).items():
-        setattr(sub, name, value[lanes])
-    return sub
-
-
 class _WienerTerm:
     """Wiener cost of B lanes; Pxx q_e and q_e' Pxx q_e are built once."""
 
@@ -227,19 +219,20 @@ class _WienerTerm:
         power = _dots(np.broadcast_to(np.stack([q_l, q_r]), self.b.shape), self.b).real
         self.reference_power = power[:, 0] + power[:, 1]
 
-    def value_and_gradient(self, w):
-        y = _mv(self.phi_yy, w)
+    def value_and_gradient(self, w, lanes=slice(None)):
+        b = self.b[lanes]
+        y = _mv(self.phi_yy[lanes], w)
         w_conj = w.conj()
-        wb = _dots(w_conj, self.b).real
+        wb = _dots(w_conj, b).real
         wy = _dots(w_conj, y).real
         value = (
-            self.reference_power
+            self.reference_power[lanes]
             - 2.0 * wb[:, 0]
             - 2.0 * wb[:, 1]
             + wy[:, 0]
             + wy[:, 1]
         )
-        return value, _pack_pairs(2.0 * (y - self.b))
+        return value, _pack_pairs(2.0 * (y - b))
 
 
 class _PenaltyTerm:
@@ -258,13 +251,13 @@ class _PhaseTerm(_PenaltyTerm):
     below the guard; ``hessian`` returns None there.
     """
 
-    def _derivatives(self, w):
-        """(live, d, u, c, d(angle u)/d(params)), all but ``live`` restricted
-        to the lanes inside the guard."""
-        c, u, p_l, p_r = _noise_products(w, self.phi_vv)
-        eps = self.eps
+    def _derivatives(self, w, lanes):
+        """(live, d, u, c, d(angle u)/d(params)) of the ``lanes`` rows, all
+        but ``live`` restricted to the lanes inside the guard."""
+        c, u, p_l, p_r = _noise_products(w, self.phi_vv[lanes])
+        eps = self.eps[lanes]
         live = ~((p_l <= eps) | (p_r <= eps) | (np.hypot(u.real, u.imag) <= eps))
-        c, u, target = _live_lanes(live, c, u, self.target)
+        c, u, target = _live_lanes(live, c, u, self.target[lanes])
         d = wrap_angle(np.angle(u) - target)
         # u = w_l^H Phi w_r is linear in conj(w_l) and w_r, and
         # d(angle u)/dx = Im((du/dx)/u).
@@ -273,13 +266,13 @@ class _PhaseTerm(_PenaltyTerm):
         grad_phi = np.concatenate([ru.imag, -ru.real, su.imag, su.real], axis=1)
         return live, d, u, c, grad_phi
 
-    def value_and_gradient(self, w):
-        live, d, _, _, grad_phi = self._derivatives(w)
+    def value_and_gradient(self, w, lanes=slice(None)):
+        live, d, _, _, grad_phi = self._derivatives(w, lanes)
         return _guarded(live, d * d, (2.0 * d)[:, None] * grad_phi)
 
-    def hessian(self, w):
-        """Exact Hessian of a one-lane term, or None past the guard."""
-        live, d, u, c, _ = self._derivatives(w)
+    def hessian(self, w, lane):
+        """Exact Hessian of lane ``lane`` at its pair w, or None past the guard."""
+        live, d, u, c, _ = self._derivatives(w, [lane])
         if not live[0]:
             return None
         d, u = float(d[0]), complex(u[0])
@@ -288,7 +281,7 @@ class _PhaseTerm(_PenaltyTerm):
         # an entry of c is exactly zero, -(c_r/u).real is -0 but
         # ((-1j c_r)/u).imag is +0
         grad_phi = (du / u).imag
-        hess_phi = ((_u_hessian(self.phi_vv[0, :, ::2]) / u).imag
+        hess_phi = ((_u_hessian(self.phi_vv[lane, :, ::2]) / u).imag
                     - (np.outer(du, du) / (u * u)).imag)
         return 2.0 * np.outer(grad_phi, grad_phi) + 2.0 * d * hess_phi
 
@@ -298,21 +291,22 @@ class _CoherenceTerm(_PenaltyTerm):
     ``target``; a lane is degenerate when an output noise power is below the
     guard, and ``hessian`` returns None there."""
 
-    def _derivatives(self, w):
-        """(live, u, p_l, p_r, du, dp_l, dp_r, target) over the real
-        parameters, all but ``live`` restricted to the lanes inside the
-        guard; dp_e is the derivative of the output power p_e."""
-        c, u, p_l, p_r = _noise_products(w, self.phi_vv)
-        live = ~((p_l <= self.eps) | (p_r <= self.eps))
-        c, u, p_l, p_r, target = _live_lanes(live, c, u, p_l, p_r, self.target)
+    def _derivatives(self, w, lanes):
+        """(live, u, p_l, p_r, du, dp_l, dp_r, target) of the ``lanes`` rows
+        over the real parameters, all but ``live`` restricted to the lanes
+        inside the guard; dp_e is the derivative of the output power p_e."""
+        c, u, p_l, p_r = _noise_products(w, self.phi_vv[lanes])
+        eps = self.eps[lanes]
+        live = ~((p_l <= eps) | (p_r <= eps))
+        c, u, p_l, p_r, target = _live_lanes(live, c, u, p_l, p_r, self.target[lanes])
         c_l, c_r = c[:, 0], c[:, 1]
         zeros = np.zeros((u.size, 2 * c.shape[2]))
         dp_l = np.concatenate([2 * c_l.real, 2 * c_l.imag, zeros], axis=1)
         dp_r = np.concatenate([zeros, 2 * c_r.real, 2 * c_r.imag], axis=1)
         return live, u, p_l, p_r, _u_gradient(c_l, c_r), dp_l, dp_r, target
 
-    def value_and_gradient(self, w):
-        live, u, p_l, p_r, du, dp_l, dp_r, target = self._derivatives(w)
+    def value_and_gradient(self, w, lanes=slice(None)):
+        live, u, p_l, p_r, du, dp_l, dp_r, target = self._derivatives(w, lanes)
         den = np.sqrt(p_l * p_r)
         # g = u / den - target, dividing as Python's complex / float does
         g = np.empty(u.shape, dtype=complex)
@@ -326,15 +320,15 @@ class _CoherenceTerm(_PenaltyTerm):
         values = np.array([modulus**2 for modulus in np.hypot(g.real, g.imag).tolist()])
         return _guarded(live, values, 2.0 * (np.conj(g)[:, None] * dic).real)
 
-    def hessian(self, w):
-        """Exact Hessian of a one-lane term, or None past the guard."""
-        live, u, p_l, p_r, du, dp_l, dp_r, target = self._derivatives(w)
+    def hessian(self, w, lane):
+        """Exact Hessian of lane ``lane`` at its pair w, or None past the guard."""
+        live, u, p_l, p_r, du, dp_l, dp_r, target = self._derivatives(w, [lane])
         if not live[0]:
             return None
         u, p_l, p_r, target = complex(u[0]), float(p_l[0]), float(p_r[0]), complex(target[0])
         du, dp_l, dp_r = du[0], dp_l[0], dp_r[0]
         m = self.phi_vv.shape[1]
-        quad = 2.0 * _realify(self.phi_vv[0, :, ::2])
+        quad = 2.0 * _realify(self.phi_vv[lane, :, ::2])
         pl_h = np.zeros((4 * m, 4 * m))
         pl_h[: 2 * m, : 2 * m] = quad
         pr_h = np.zeros((4 * m, 4 * m))
@@ -350,7 +344,7 @@ class _CoherenceTerm(_PenaltyTerm):
             )
         )
         ic_vec = du * s + u * s_vec
-        ic_h = (_u_hessian(self.phi_vv[0, :, ::2]) * s + np.outer(du, s_vec)
+        ic_h = (_u_hessian(self.phi_vv[lane, :, ::2]) * s + np.outer(du, s_vec)
                 + np.outer(s_vec, du) + u * s_h)
         g = u * s - target
         return (
@@ -454,11 +448,11 @@ class BinObjective:
     precomputes everything that does not depend on the filters.  The lanes
     are penalized alike: ``cues`` holds each lane's input cue, or is None for
     the Wiener cost alone.  ``of_bin`` builds the one-lane objective of a bin
-    and settles whether it is penalized (``penalty_cue``).
+    and settles whether it is penalized (``penalty_cue``).  A call reads the
+    rows of the lanes it lists, by index, and keeps nothing between calls.
     """
 
     def __init__(self, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, cues=None):
-        self.size = 4 * q_l.size
         self.alpha = spec.alpha
         self.wiener = _WienerTerm(phi_xx, phi_yy, q_l, q_r)
         if cues is None:
@@ -467,7 +461,6 @@ class BinObjective:
             self.penalty = _PhaseTerm(phi_vv, np.array(cues, dtype=float))
         else:
             self.penalty = _CoherenceTerm(phi_vv, np.array(cues, dtype=complex))
-        self._subset = None  # (lanes, objective of those lanes) last evaluated
 
     @classmethod
     def of_bin(cls, phi_xx, phi_yy, phi_vv, q_l, q_r, spec: CostSpec, freq_hz):
@@ -475,31 +468,23 @@ class BinObjective:
         return cls(phi_xx[None], phi_yy[None], phi_vv[None], q_l, q_r, spec,
                    None if cue is None else [cue])
 
-    def take(self, lanes):
-        """The objective of the listed lanes alone."""
-        sub = copy.copy(self)
-        sub.wiener = _take(self.wiener, lanes)
-        sub.penalty = None if self.penalty is None else _take(self.penalty, lanes)
-        sub._subset = None
-        return sub
-
-    def evaluate(self, w):
-        """(values, gradients, degenerate) of every lane at filter pairs
-        (B, 2, M)."""
-        values, grads = self.wiener.value_and_gradient(w)
+    def evaluate(self, w, lanes=slice(None)):
+        """(values, gradients, degenerate) of the ``lanes`` rows at their
+        filter pairs w, one (2, M) pair per lane."""
+        values, grads = self.wiener.value_and_gradient(w, lanes)
         if self.penalty is None:
             return values, grads, np.zeros(values.shape, dtype=bool)
-        pen, pen_grads, degenerate = self.penalty.value_and_gradient(w)
+        pen, pen_grads, degenerate = self.penalty.value_and_gradient(w, lanes)
         return values + self.alpha * pen, grads + self.alpha * pen_grads, degenerate
 
     def __call__(self, x, lanes=None):
         """(values, gradients) at the packed parameter rows ``x``, one per
         listed lane (every lane if None)."""
-        if lanes is not None and len(lanes) < self.wiener.b.shape[0]:
-            if self._subset is None or self._subset[0] != lanes:
-                self._subset = (lanes, self.take(list(lanes)))
-            return self._subset[1](x)
-        values, grads, _ = self.evaluate(_unpack_pairs(x))
+        if lanes is None or len(lanes) == self.wiener.b.shape[0]:
+            lanes = slice(None)
+        else:
+            lanes = np.asarray(lanes)
+        values, grads, _ = self.evaluate(_unpack_pairs(x), lanes)
         return values, grads
 
     def hessian(self, x, lane=0):
@@ -508,7 +493,7 @@ class BinObjective:
         base = hess_j_w(self.wiener.phi_yy[lane, :, ::2])
         if self.penalty is None:
             return base
-        pen = _take(self.penalty, [lane]).hessian(_unpack_pairs(x[None]))
+        pen = self.penalty.hessian(_unpack_pairs(x[None]), lane)
         return base if pen is None else base + self.alpha * pen
 
 
@@ -530,5 +515,5 @@ def combined(
     all their bins instead.
     """
     objective = BinObjective.of_bin(phi_xx, phi_yy, phi_vv, q_l, q_r, spec, freq_hz)
-    _check_filter_sizes(w_l, w_r, objective.size // 4)
+    _check_filter_sizes(w_l, w_r, q_l.size)
     return _first_lane(*objective.evaluate(_pair(w_l, w_r)))

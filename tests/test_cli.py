@@ -118,16 +118,20 @@ class TestConfigParsing:
 
     # rejected before any audio is read; a section's values are checked
     # together, so an error there names the section
-    @pytest.mark.parametrize("line, key", [
-        ("array.mics_per_ear = 0", "array"),
-        ("stft.hop = 48", "stft"),
-        ("solver.max_iterations = 0", "solver"),
-        ("scene.noise_distance = -1", "scene"),
-        ("run.variants = mwf-ic, mwf-ic\nrun.alpha = 40", "run.variants"),
-    ], ids=["array", "stft", "solver", "scene", "duplicate variant"])
+    @pytest.mark.parametrize("command, line, key", [
+        ("process", "array.mics_per_ear = 0", "array"),
+        ("process", "stft.hop = 48", "stft"),
+        ("process", "solver.max_iterations = 0", "solver"),
+        ("process", "scene.noise_distance = -1", "scene"),
+        ("process", "run.variants = mwf-ic, mwf-ic\nrun.alpha = 40", "run.variants"),
+        ("process", "run.variants = mwf-ic\nrun.alpha = 40\nrun.calibrate = 0.15",
+         "run.calibrate"),
+        ("calibrate", "run.variants = mwf", "run.variants"),
+    ], ids=["array", "stft", "solver", "scene", "duplicate variant", "alpha and calibrate",
+            "calibrate without penalized variant"])
     def test_invalid_value_names_key_or_section(self, tmp_path, speech_wav, capsys,
-                                                no_scene, line, key):
-        assert_rejected(tmp_path, speech_wav, capsys, "process", line, key)
+                                                no_scene, command, line, key):
+        assert_rejected(tmp_path, speech_wav, capsys, command, line, key)
 
     # a NaN or an infinity is rejected with its section before any audio is
     # read; unchecked, these fail in an eigendecomposition, silently switch

@@ -13,7 +13,6 @@ from binaural_mwf.costs import (
     _noise_eps,
     _PhaseTerm,
     _realify,
-    _take,
     _u_gradient,
     _u_hessian,
     combined,
@@ -69,7 +68,7 @@ def check_gradient(cost_fn, w_l, w_r, rel_tol=1e-5):
 
 def lane_hessian(term, phi_vv, target, w_l, w_r):
     """Hessian of a penalty term built for one lane."""
-    return term(phi_vv[None], np.array([target])).hessian(np.stack([w_l, w_r])[None])
+    return term(phi_vv[None], np.array([target])).hessian(np.stack([w_l, w_r])[None], 0)
 
 
 class TestJW:
@@ -740,6 +739,38 @@ def assert_bitwise_equal(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def lane_mix(lanes):
+    """Strategy: ``lanes`` (case, scale, rank) draws for ``random_lanes``."""
+    return st.lists(
+        st.tuples(st.sampled_from(["generic", "rank-one noise", "collapsed u",
+                                   "zero filter"]),
+                  st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
+                  st.integers(1, 8)),
+        min_size=lanes, max_size=lanes)
+
+
+def random_lanes(rng, m, mix):
+    """(phi_xx, phi_vv, filter pairs (B, 2, M), phase targets, coherence
+    targets) of one lane per ``mix`` entry."""
+    phi_xx, phi_vv, w_l, w_r, phase_targets, ic_targets = [], [], [], [], [], []
+    for case, scale, rank in mix:
+        rank = 1 if case == "rank-one noise" else min(rank, m)
+        phi_xx.append(random_psd(rng, m))
+        phi_vv.append(low_rank_psd(rng, m, rank))
+        a, b = random_filters(rng, m)
+        if case == "collapsed u":
+            b = shrink_cross_power(a, b, phi_vv[-1], 0.0)
+        elif case == "zero filter":
+            a = np.zeros(m, dtype=complex)
+        w_l.append(scale * a)
+        w_r.append(scale * b)
+        phase_targets.append(float(rng.uniform(-np.pi, np.pi)))
+        ic_targets.append(complex(rng.uniform(0, 1)
+                                  * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+    return (np.array(phi_xx), np.array(phi_vv), np.stack([w_l, w_r], axis=1),
+            phase_targets, ic_targets)
+
+
 class TestTermsMatchFrozenCopy:
     """Every lane of the stacked kernel runs the same floating-point
     operations, in the same order, as the frozen per-bin copies above, so
@@ -758,31 +789,11 @@ class TestTermsMatchFrozenCopy:
     )
     def test_value_gradient_hessian_bitwise(self, seed, m, lanes, data):
         rng = np.random.default_rng(seed)
-        mix = data.draw(st.lists(
-            st.tuples(st.sampled_from(["generic", "rank-one noise", "collapsed u",
-                                       "zero filter"]),
-                      st.sampled_from([1e-8, 1e-3, 1.0, 1e3]),
-                      st.integers(1, 8)),
-            min_size=lanes, max_size=lanes))
+        mix = data.draw(lane_mix(lanes))
         sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[m - 1])
-        phi_xx, phi_vv, w_l, w_r, phase_targets, ic_targets = [], [], [], [], [], []
-        for case, scale, rank in mix:
-            rank = 1 if case == "rank-one noise" else min(rank, m)
-            phi_xx.append(random_psd(rng, m))
-            phi_vv.append(low_rank_psd(rng, m, rank))
-            a, b = random_filters(rng, m)
-            if case == "collapsed u":
-                b = shrink_cross_power(a, b, phi_vv[-1], 0.0)
-            elif case == "zero filter":
-                a = np.zeros(m, dtype=complex)
-            w_l.append(scale * a)
-            w_r.append(scale * b)
-            phase_targets.append(float(rng.uniform(-np.pi, np.pi)))
-            ic_targets.append(complex(rng.uniform(0, 1)
-                                      * np.exp(1j * rng.uniform(-np.pi, np.pi))))
-        phi_xx, phi_vv = np.array(phi_xx), np.array(phi_vv)
+        phi_xx, phi_vv, pairs, phase_targets, ic_targets = random_lanes(rng, m, mix)
+        w_l, w_r = pairs[:, 0], pairs[:, 1]
         phi_yy = phi_xx + phi_vv
-        pairs = np.stack([w_l, w_r], axis=1)
         alpha = float(rng.choice([0.3, 40.0, 1e5]))
         for variant, targets, old_term in (("mwf-itd", phase_targets, _ParentPhaseTerm),
                                            ("mwf-ic", ic_targets, _ParentCoherenceTerm)):
@@ -803,8 +814,7 @@ class TestTermsMatchFrozenCopy:
                 want = _parent_combined(wiener, old, alpha, w_l[b], w_r[b])
                 assert_bitwise_equal(values[b], want[0])
                 assert_bitwise_equal(grads[b], want[1])
-                lane = _take(objective.penalty, [b])
-                assert_bitwise_equal(lane.hessian(pairs[b : b + 1]),
+                assert_bitwise_equal(objective.penalty.hessian(pairs[b : b + 1], b),
                                      old.hessian(w_l[b], w_r[b]))
 
     def test_squared_coherence_gap_is_python_power(self):
@@ -828,3 +838,42 @@ class TestTermsMatchFrozenCopy:
         for value, target in zip(values, targets):
             want = _ParentCoherenceTerm(bin_innermost(phi_vv), target)
             assert_bitwise_equal(value, want.value_and_gradient(w_l, w_r)[0])
+
+
+class TestListedLanesMatchAllLanes:
+    """The kernel keeps nothing between calls: evaluating any listed lanes
+    gives, bitwise, those rows of the all-lane evaluation, whatever was
+    evaluated before, and a lane's Hessian is that of its bin alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        m=st.integers(2, 8),
+        lanes=st.sampled_from([1, 2, 7, 24]),
+        data=st.data(),
+    )
+    def test_listed_lanes_bitwise(self, seed, m, lanes, data):
+        rng = np.random.default_rng(seed)
+        sel = Selector(q_l=np.eye(m)[0], q_r=np.eye(m)[m - 1])
+        phi_xx, phi_vv, pairs, phase_targets, ic_targets = random_lanes(
+            rng, m, data.draw(lane_mix(lanes)))
+        phi_yy = phi_xx + phi_vv
+        x = np.array([pack_filters(*pair) for pair in pairs])
+        alpha = float(rng.choice([0.3, 40.0, 1e5]))
+        for variant, targets in (("mwf", None), ("mwf-itd", phase_targets),
+                                 ("mwf-ic", ic_targets)):
+            spec = CostSpec(variant, alpha)
+            objective = BinObjective(phi_xx, phi_yy, phi_vv, sel.q_l, sel.q_r, spec,
+                                     targets)
+            all_values, all_grads = objective(x)
+            # three lane sets in a row, sorted as the lockstep drive lists them
+            for _ in range(3):
+                listed = sorted(data.draw(st.sets(st.integers(0, lanes - 1), min_size=1)))
+                values, grads = objective(x[listed], tuple(listed))
+                assert_bitwise_equal(values, all_values[listed])
+                assert_bitwise_equal(grads, all_grads[listed])
+            for j in range(lanes):
+                alone = BinObjective(phi_xx[j : j + 1], phi_yy[j : j + 1],
+                                     phi_vv[j : j + 1], sel.q_l, sel.q_r, spec,
+                                     None if targets is None else [targets[j]])
+                assert_bitwise_equal(objective.hessian(x[j], j), alone.hessian(x[j]))
