@@ -24,7 +24,7 @@ from binaural_mwf import costs, metrics, scene, solver, spatial_stats, stft
 def run_scene(azimuth, speech, cfg, geometry, selector):
     spec = scene.SceneSpec(noise_azimuth=azimuth, seed=11)
     sc = scene.synthesize_scene(speech, spec, geometry, cfg)
-    phi = spatial_stats.estimate_coherence(sc.y, sc.vad)
+    phi = spatial_stats.estimate_coherence((sc.x, sc.v), sc.vad)
     rows = {}
     mwf = solver.solve_all_bins(costs.CostSpec("mwf"), phi, selector)
     rows["mwf"] = (0.0, None, metrics.evaluate_filters(mwf.filters, sc, selector))

@@ -13,8 +13,9 @@ Runs are configured by a flat key-value file with dotted section prefixes
 key is validated against the schema below before any audio is read: an
 unknown, repeated or ill-typed key, a repeated variant or an invalid
 ``run.*`` weighting value exits 1 naming the key, as do ``process`` with
-both ``run.alpha`` and ``run.calibrate`` and ``calibrate`` without a
-penalized variant; invalid ``array``, ``stft``, ``scene`` or ``solver``
+both ``run.alpha`` and ``run.calibrate``, ``calibrate`` without a
+penalized variant or with ``run.alpha``, and ``sweep`` with ``run.alpha``
+or ``run.calibrate``; invalid ``array``, ``stft``, ``scene`` or ``solver``
 values exit 1 naming the section.  All randomness derives from one seed
 (``run.seed``, overridable with ``--seed``), so identical configurations
 produce byte-identical artifacts, which ``wavio`` writes.
@@ -209,6 +210,14 @@ def build_run_config(raw, seed_override=None, out_override=None) -> RunConfig:
                      solver=solver_cfg, **files, **run_kwargs)
 
 
+def _reject_unused(cfg: RunConfig, command, *names):
+    """Exit 1 naming the first of the ``run.*`` fields ``names`` that is set:
+    ``command`` would ignore it."""
+    for name in names:
+        if getattr(cfg, name) is not None:
+            raise ConfigError(f"run.{name}", f"not used by {command}")
+
+
 def _prepare(cfg: RunConfig):
     """(scene, selector, coherence of the mixture) of the configured run."""
     speech, _ = wavio.read_wav(cfg.speech_wav, expected_rate=cfg.stft.sample_rate)
@@ -234,7 +243,7 @@ def _prepare(cfg: RunConfig):
         noise_ir=load_ir(cfg.noise_ir_wav),
     )
     selector = spatial_stats.Selector.from_geometry(cfg.geometry)
-    return scene, selector, spatial_stats.estimate_coherence(scene.y, scene.vad)
+    return scene, selector, spatial_stats.estimate_coherence((scene.x, scene.v), scene.vad)
 
 
 def _calibrate(cfg: RunConfig, variant, loss_fraction, scene, selector, phi):
@@ -291,7 +300,7 @@ def cmd_process(cfg: RunConfig):
             if cal.warning:
                 meta["warning"] = cal.warning
         extra["alphas"][variant] = meta
-        enhanced = metrics.apply_filters(solved.filters, scene.y)
+        enhanced = metrics.apply_filters(solved.filters, (scene.x, scene.v))
         audio = synthesize(enhanced)
         encoding = "pcm16" if cfg.write_pcm16 else "float32"
         wavio.write_wav(out / f"enhanced_{variant}.wav", audio,
@@ -312,6 +321,7 @@ def cmd_process(cfg: RunConfig):
 
 
 def cmd_sweep(cfg: RunConfig):
+    _reject_unused(cfg, "sweep", "alpha", "calibrate")
     if cfg.alphas is None or len(cfg.alphas) < 2:
         raise ConfigError("run.alphas", "sweep needs at least two alpha values")
     alphas = []
@@ -339,6 +349,7 @@ def cmd_calibrate(cfg: RunConfig):
     penalized = [v for v in cfg.variants if v != "mwf"]
     if not penalized:
         raise ConfigError("run.variants", "calibrate needs mwf-itd or mwf-ic")
+    _reject_unused(cfg, "calibrate", "alpha")
     loss = solver.DEFAULT_LOSS_FRACTION if cfg.calibrate is None else cfg.calibrate
     scene, selector, phi = _prepare(cfg)
     doc = {"seed": cfg.seed, "loss_fraction": loss, "variants": {}}

@@ -46,7 +46,7 @@ from .spatial_stats import (
     output_cues,
     wrap_angle,
 )
-from .stft import SpectralTensor
+from .stft import _BLOCK_FRAMES, SpectralTensor, summands
 from .wavio import write_csv, write_json
 
 # One-third-octave band centers (Hz) and importance weights of the speech
@@ -86,18 +86,30 @@ class MetricsReport:
         return doc
 
 
-def apply_filters(filters: FilterPair, tensor: SpectralTensor) -> SpectralTensor:
-    """Binaural output z_e(t, k) = w_e(k)^H y(:, t, k) as a 2-channel tensor."""
-    if filters.w_l.shape[1] != tensor.channel_count:
+def apply_filters(filters: FilterPair, tensor) -> SpectralTensor:
+    """Binaural output z_e(t, k) = w_e(k)^H y(:, t, k) as a 2-channel tensor.
+
+    ``tensor`` is y, or a tuple such as ``(x, v)`` whose sum is y.  The
+    output is filled ``_BLOCK_FRAMES`` frames at a time, each block from its
+    own sum of the summands, so y is never formed whole.
+    """
+    parts = summands(tensor)
+    shape = parts[0].data.shape
+    if filters.w_l.shape[1] != shape[0]:
         raise InvalidInputError("filter length does not match channel count")
-    if filters.bin_count != tensor.bin_count:
+    if filters.bin_count != shape[2]:
         raise InvalidInputError("filter bin count does not match tensor")
-    data = tensor.data
-    out = np.empty((2,) + data.shape[1:],
-                   dtype=np.result_type(filters.w_l, filters.w_r, data))
-    np.einsum("km,mtk->tk", filters.w_l.conj(), data, out=out[0])
-    np.einsum("km,mtk->tk", filters.w_r.conj(), data, out=out[1])
-    return SpectralTensor(out, tensor.config)
+    w_l, w_r = filters.w_l.conj(), filters.w_r.conj()
+    out = np.empty((2,) + shape[1:],
+                   dtype=np.result_type(w_l, w_r, *(p.data for p in parts)))
+    for first in range(0, shape[1], _BLOCK_FRAMES):
+        block = slice(first, first + _BLOCK_FRAMES)
+        y = parts[0].data[:, block]
+        for part in parts[1:]:
+            y = y + part.data[:, block]
+        np.einsum("km,mtk->tk", w_l, y, out=out[0, block])
+        np.einsum("km,mtk->tk", w_r, y, out=out[1, block])
+    return SpectralTensor(out, parts[0].config)
 
 
 class ActivePower(NamedTuple):

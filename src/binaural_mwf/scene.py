@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
-from .stft import SpectralTensor, StftConfig, analyze
+from .stft import _BLOCK_FRAMES, SpectralTensor, StftConfig, analyze
 
 # Head-shadow law: attenuation of the contralateral array in dB with a
 # small frequency-independent diffraction term plus a linear-in-frequency
@@ -162,9 +162,13 @@ class VadLabels:
 
 @dataclass
 class SceneData:
-    """Bundle produced by ``synthesize_scene``: y = x + v plus labels."""
+    """Bundle produced by ``synthesize_scene``: the speech and noise tensors
+    x and v plus labels.
 
-    y: SpectralTensor
+    The mixture y = x + v is not stored; its readers take the summands
+    ``(x, v)`` and add them a block at a time.
+    """
+
     x: SpectralTensor
     v: SpectralTensor
     vad: VadLabels
@@ -172,6 +176,11 @@ class SceneData:
     # filter-independent metric terms, filled on first use by ``metrics``
     metric_terms: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+
+    @property
+    def y(self):
+        """The mixture x + v, formed whole on every access."""
+        return SpectralTensor(self.x.data + self.v.data, self.x.config)
 
 
 def _mic_delays(geometry, azimuth_deg):
@@ -343,13 +352,37 @@ def _squared_magnitude(data):
     return power
 
 
+def _frame_energy(data):
+    """|data|^2 of (M, T, K) ``data`` summed over channels and bins, per frame.
+
+    Filled ``_BLOCK_FRAMES`` frames at a time, so no whole-tensor |data|^2
+    exists.  A trailing one-frame block joins the block before it: numpy
+    sums a lone frame's channels and bins as one run, in another order than
+    within a block, and the bits would differ.
+    """
+    n_frames = data.shape[1]
+    edges = list(range(0, n_frames, _BLOCK_FRAMES)) + [n_frames]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    energy = np.empty(n_frames, dtype=data.real.dtype)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.sum(_squared_magnitude(data[:, lo:hi]), axis=(0, 2), out=energy[lo:hi])
+    return energy
+
+
+def _channel_energy(data, channel):
+    """|data|^2 of one channel of (M, T, K) ``data``, summed over frames and
+    bins: numpy sums them as one run, as in a whole-tensor reduction."""
+    return np.sum(_squared_magnitude(data[channel]))
+
+
 def ideal_vad(clean_speech: SpectralTensor, threshold_db=40.0) -> VadLabels:
     """Label frames whose energy is within ``threshold_db`` of the peak frame.
 
     Energy is summed over channels and bins.  ``threshold_db`` is the depth
     below the loudest frame still counted as active (0 keeps only the peak).
     """
-    energy = np.sum(_squared_magnitude(clean_speech.data), axis=(0, 2))
+    energy = _frame_energy(clean_speech.data)
     peak = energy.max() if energy.size else 0.0
     if peak <= 0.0:
         raise InvalidInputError("all-zero tensor has no speech activity")
@@ -366,7 +399,8 @@ def synthesize_scene(
     speech_ir=None,
     noise_ir=None,
 ) -> SceneData:
-    """Build the microphone tensors y = x + v for one scene.
+    """Build the microphone tensors x and v of one scene, whose sum is the
+    mixture y.
 
     The noise source is seeded white noise brick-walled at ``noise_cutoff``;
     both sources are steered by filtering the waveforms with the exact
@@ -424,8 +458,9 @@ def synthesize_scene(
     if noise_ir is None and spec.noise_azimuth != 0:
         worst_ear = "right" if spec.noise_azimuth > 0 else "left"
     else:
-        pv = np.sum(_squared_magnitude(v.data), axis=(1, 2))
-        worst_ear = "right" if pv[geometry.ref_right] >= pv[geometry.ref_left] else "left"
+        pv_l = _channel_energy(v.data, geometry.ref_left)
+        pv_r = _channel_energy(v.data, geometry.ref_right)
+        worst_ear = "right" if pv_r >= pv_l else "left"
     ref = geometry.ref_right if worst_ear == "right" else geometry.ref_left
 
     act = vad.active
@@ -437,6 +472,5 @@ def synthesize_scene(
         snr0 = 10.0 * np.log10(p_speech / p_noise)
         gain = 10.0 ** ((snr0 - spec.target_snr_worst_ear) / 20.0)
     v.data *= gain
-    y = SpectralTensor(x.data + v.data, cfg)
 
-    return SceneData(y=y, x=x, v=v, vad=vad, worst_ear=worst_ear)
+    return SceneData(x=x, v=v, vad=vad, worst_ear=worst_ear)

@@ -2,9 +2,11 @@
 
 Coherence matrices are sample averages of frame outer products over the VAD
 classes; the speech matrix is the noise-subtracted estimate projected back
-onto the positive semi-definite cone.  The averages are reduced one bin at a
-time, so an estimate holds two (M, frames) copies of one bin's frames, not
-a masked or conjugated copy of the whole tensor.  Cues of a filter pair
+onto the positive semi-definite cone.  The mixture y = x + v is not stored:
+the estimate reads its summands, gathers and adds ``_GROUP_BINS`` adjacent
+bins at a time and reduces one bin at a time, so it holds a few copies of
+one group's frames, not a sum, masked or conjugated copy of the whole
+tensor.  Cues of a filter pair
 (w_l, w_r) against a noise matrix Phi are
 
     ipd = angle(w_l^H Phi w_r)
@@ -25,13 +27,16 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .scene import VadLabels
-from .stft import SpectralTensor, StftConfig
+from .stft import StftConfig, summands
 from .wavio import write_csv
 
 CUE_CUTOFF_HZ = 1500.0
 
 # Scale-free guard for denominators / cross powers: eps * trace(Phi).
 _EPS_REL = 1e-12
+
+# Adjacent bins gathered, and summed over the summands, per covariance step.
+_GROUP_BINS = 4
 
 
 def in_cue_band(freqs, cue_cutoff):
@@ -113,24 +118,33 @@ class CueEstimate:
 def covariance_per_bin(data, frame_mask=None):
     """data (M, T, K) -> (K, M, M) average of frame outer products.
 
-    ``frame_mask`` selects the frames; without it every frame is averaged.
-    One bin is reduced at a time, from a contiguous (M, T) copy of its
-    frames, so no masked or conjugated copy of ``data`` exists.  The result
-    keeps the bin axis innermost in memory (its (M, M, K) buffer viewed as
+    ``data`` is one array or a tuple of arrays whose element-wise sum is the
+    data.  ``frame_mask`` selects the frames; without it every frame is
+    averaged.  Each step gathers ``_GROUP_BINS`` adjacent bins of the
+    selected frames from every summand and adds them; each bin of the group
+    is then reduced from a contiguous (M, T) copy of its frames, so no sum,
+    masked or conjugated copy of the whole data exists.  The result keeps
+    the bin axis innermost in memory (its (M, M, K) buffer viewed as
     (K, M, M)), the layout of the single whole-tensor reduction it replaces;
     the per-bin products of ``costs`` depend on that layout.
     """
-    m, t, bins = data.shape
+    parts = (data,) if isinstance(data, np.ndarray) else tuple(data)
+    m, t, bins = parts[0].shape
     frames = slice(None)
     if frame_mask is not None:
         frames = np.asarray(frame_mask, dtype=bool)
         t = int(np.count_nonzero(frames))
     if t < 2:
         raise InvalidInputError("need at least two frames for a covariance estimate")
-    cov = np.empty((m, m, bins), dtype=data.dtype)
-    for k in range(bins):
-        a = np.ascontiguousarray(data[:, frames, k])
-        np.einsum("mt,nt->mn", a, a.conj(), out=cov[:, :, k])
+    cov = np.empty((m, m, bins), dtype=np.result_type(*parts))
+    for first in range(0, bins, _GROUP_BINS):
+        group = slice(first, first + _GROUP_BINS)
+        block = parts[0][:, frames, group]
+        for part in parts[1:]:
+            block = block + part[:, frames, group]
+        for j in range(block.shape[2]):
+            a = np.ascontiguousarray(block[:, :, j])
+            np.einsum("mt,nt->mn", a, a.conj(), out=cov[:, :, first + j])
     cov = np.transpose(cov, (2, 0, 1)) / t
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
@@ -143,25 +157,28 @@ def psd_floor(mats):
     return 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
 
 
-def estimate_coherence(spec: SpectralTensor, vad: VadLabels) -> CoherenceSet:
+def estimate_coherence(spec, vad: VadLabels) -> CoherenceSet:
     """Estimate Phi_yy, Phi_vv and the floored Phi_xx from labeled frames.
 
+    ``spec`` is the mixture y, or the tuple ``(x, v)`` whose sum it is.
     Phi_vv averages noise-only frames, Phi_yy speech-active frames, and
     Phi_xx is the eigenvalue-floored difference (finite averaging makes the
     raw subtraction indefinite).
     """
-    if spec.frame_count != vad.frame_count:
+    parts = summands(spec)
+    if parts[0].frame_count != vad.frame_count:
         raise InvalidInputError("VAD length does not match frame count")
     active = vad.active
     if active.sum() < 2 or (~active).sum() < 2:
         raise InvalidInputError(
             "need at least two frames of each class to estimate coherence"
         )
-    phi_yy = covariance_per_bin(spec.data, active)
-    phi_vv = covariance_per_bin(spec.data, ~active)
+    data = tuple(p.data for p in parts)
+    phi_yy = covariance_per_bin(data, active)
+    phi_vv = covariance_per_bin(data, ~active)
     phi_xx = psd_floor(phi_yy - phi_vv)
     return CoherenceSet(phi_yy=phi_yy, phi_vv=phi_vv, phi_xx=phi_xx,
-                        freqs=spec.config.freqs)
+                        freqs=parts[0].config.freqs)
 
 
 def _cues_from_products(num, p_l, p_r, freqs, cue_cutoff):

@@ -120,6 +120,18 @@ class SpectralTensor:
         return self.config.freqs
 
 
+def summands(tensor):
+    """The tensors whose element-wise sum ``tensor`` stands for.
+
+    A ``SpectralTensor`` is its own single summand; a tuple such as
+    ``(x, v)`` stands for x + v without that sum being stored.
+    """
+    parts = (tensor,) if isinstance(tensor, SpectralTensor) else tuple(tensor)
+    if not parts or any(p.data.shape != parts[0].data.shape for p in parts):
+        raise InvalidInputError("summands must be one or more tensors of one shape")
+    return parts
+
+
 def _as_channel_matrix(audio):
     """Coerce input to a float (channels, samples) matrix."""
     if isinstance(audio, (list, tuple)):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from binaural_mwf import costs, metrics, scene, solver, spatial_stats, stft
 
@@ -32,7 +33,7 @@ def scene30(speech, cfg, geometry):
 
 @pytest.fixture(scope="session")
 def phi30(scene30):
-    return spatial_stats.estimate_coherence(scene30.y, scene30.vad)
+    return spatial_stats.estimate_coherence((scene30.x, scene30.v), scene30.vad)
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +85,37 @@ def random_coherence_set(rng, m, bins, freqs):
         phi_xx=phi_xx,
         freqs=freqs[:bins],
     )
+
+
+def assert_bitwise(got, want):
+    """Equal values, dtype and sign bits (a -0.0 is not a +0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+# (mics, frames, bins) of the summand properties: frame counts around the
+# 64-frame block, and bin counts that no tested group size divides
+SUMMAND_SHAPES = st.tuples(st.integers(2, 8), st.sampled_from([1, 63, 64, 65, 200]),
+                           st.sampled_from([3, 129]))
+# an STFT configuration of each of those bin counts
+SUMMAND_CONFIGS = {3: stft.StftConfig(fft_size=4, window_len=4, hop=2), 129: stft.StftConfig()}
+
+
+def summand_pair(rng, shape):
+    """Complex (x, v) of ``shape`` with per-channel scales over six decades,
+    +0 and -0 entries, and entries where x + v cancels exactly."""
+
+    def part():
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data *= 10.0 ** rng.uniform(-3, 3, size=(shape[0], 1, 1))
+        data[rng.uniform(size=shape) < 0.2] = 0.0
+        data[rng.uniform(size=shape) < 0.1] = complex(-0.0, -0.0)
+        return data
+
+    x, v = part(), part()
+    cancel = rng.uniform(size=shape) < 0.1
+    v[cancel] = -x[cancel]
+    return x, v

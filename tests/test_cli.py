@@ -127,8 +127,12 @@ class TestConfigParsing:
         ("process", "run.variants = mwf-ic\nrun.alpha = 40\nrun.calibrate = 0.15",
          "run.calibrate"),
         ("calibrate", "run.variants = mwf", "run.variants"),
+        ("calibrate", "run.variants = mwf-ic\nrun.alpha = 40", "run.alpha"),
+        ("sweep", "run.alphas = 1, 40\nrun.alpha = 40", "run.alpha"),
+        ("sweep", "run.alphas = 1, 40\nrun.calibrate = 0.05", "run.calibrate"),
     ], ids=["array", "stft", "solver", "scene", "duplicate variant", "alpha and calibrate",
-            "calibrate without penalized variant"])
+            "calibrate without penalized variant", "calibrate with alpha",
+            "sweep with alpha", "sweep with calibrate"])
     def test_invalid_value_names_key_or_section(self, tmp_path, speech_wav, capsys,
                                                 no_scene, command, line, key):
         assert_rejected(tmp_path, speech_wav, capsys, command, line, key)

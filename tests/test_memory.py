@@ -4,8 +4,8 @@ tracemalloc sees numpy's allocations.  Each bound is on the transient of one
 call: its traced peak above the level at the start, the returned arrays
 included, relative to the size of the tensor the call reads.  Whole-tensor
 temporaries (a masked or conjugated copy, a frame tensor, both filtered
-outputs at once) each cost a large fraction of that size, so any one of them
-coming back breaks a bound.
+outputs at once, the mixture y = x + v, a real |x|^2) each cost a large
+fraction of that size, so any one of them coming back breaks a bound.
 """
 
 import dataclasses
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from binaural_mwf.metrics import apply_filters, evaluate_filters
-from binaural_mwf.spatial_stats import covariance_per_bin
+from binaural_mwf.scene import SceneSpec, synthesize_scene
+from binaural_mwf.spatial_stats import covariance_per_bin, estimate_coherence
 from binaural_mwf.stft import synthesize
 
 
@@ -48,8 +49,22 @@ def test_covariance_holds_one_bin_at_a_time(masked):
     assert transient(covariance_per_bin, data, mask) < 0.1 * data.nbytes
 
 
+def test_scene_holds_two_tensors(speech, geometry, cfg, scene30):
+    # x and v plus the noise steering's working set; the stored mixture
+    # (3.10 tensors in all) or a whole-tensor |x|^2 (2.60) breaks it
+    spec = SceneSpec(noise_azimuth=30.0, seed=11)
+    used = transient(synthesize_scene, speech, spec, geometry, cfg)
+    assert used < 2.55 * scene30.x.data.nbytes
+
+
+def test_coherence_forms_the_mixture_a_group_of_bins_at_a_time(scene30):
+    # forming y = x + v whole first costs a tensor (1.05 in all)
+    used = transient(estimate_coherence, (scene30.x, scene30.v), scene30.vad)
+    assert used < 0.25 * scene30.x.data.nbytes
+
+
 def test_synthesis_holds_one_block_of_frames(scene30, mwf30):
-    enhanced = apply_filters(mwf30.filters, scene30.y)
+    enhanced = apply_filters(mwf30.filters, (scene30.x, scene30.v))
     assert transient(synthesize, enhanced) < 1.0 * enhanced.data.nbytes
 
 

@@ -37,7 +37,14 @@ from binaural_mwf.spatial_stats import (
 )
 from binaural_mwf.stft import SpectralTensor, StftConfig
 
-from conftest import identity_filters, random_psd
+from conftest import (
+    SUMMAND_CONFIGS,
+    SUMMAND_SHAPES,
+    assert_bitwise,
+    identity_filters,
+    random_psd,
+    summand_pair,
+)
 
 
 def complex_white(rng, shape):
@@ -84,7 +91,7 @@ class TestShadowFilter:
 
     def test_additivity(self, scene30, mwf30):
         z_x, z_v = shadow_filter(mwf30.filters, scene30.x, scene30.v)
-        z_y = apply_filters(mwf30.filters, scene30.y)
+        z_y = apply_filters(mwf30.filters, (scene30.x, scene30.v))
         np.testing.assert_allclose(z_x.data + z_v.data, z_y.data, atol=1e-12)
 
     def test_shape_mismatch_rejected(self, scene30, mwf30, selector, cfg):
@@ -298,16 +305,8 @@ def random_scene(rng, cfg, mics, frames, zero_fraction):
         return SpectralTensor(values, cfg)
 
     x, v = tensor(), tensor()
-    return SceneData(y=SpectralTensor(x.data + v.data, cfg), x=x, v=v,
-                     vad=VadLabels(rng.uniform(size=frames) < 0.5), worst_ear="right")
-
-
-def assert_bitwise(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    np.testing.assert_array_equal(got, want)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
-    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    return SceneData(x=x, v=v, vad=VadLabels(rng.uniform(size=frames) < 0.5),
+                     worst_ear="right")
 
 
 class TestStreamedMetricsMatchOneShotForms:
@@ -350,6 +349,26 @@ class TestStreamedMetricsMatchOneShotForms:
                                isnr_gain(bands_want, bands_in))
                 assert_bitwise(input_snr_db(scene, selector),
                                frozen_reference_terms(scene, selector)[0])
+
+
+class TestSummandFilteringMatchesOneShotForm:
+    """Filtering the summands (x, v) a block of frames at a time gives the
+    frozen whole-tensor einsum on a stored y = x + v, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), shape=SUMMAND_SHAPES, zero_filters=st.booleans())
+    def test_bitwise_equal(self, seed, shape, zero_filters):
+        rng = np.random.default_rng(seed)
+        mics, _, bins = shape
+        cfg = SUMMAND_CONFIGS[bins]
+        x, v = summand_pair(rng, shape)
+        filters = FilterPair(w_l=complex_white(rng, (bins, mics)),
+                             w_r=complex_white(rng, (bins, mics)) * 10.0 ** rng.uniform(-3, 3))
+        if zero_filters:
+            filters.w_l[rng.uniform(size=bins) < 0.5] = 0.0
+        got = apply_filters(filters, (SpectralTensor(x, cfg), SpectralTensor(v, cfg)))
+        want = one_shot_apply_filters(filters, SpectralTensor(x + v, cfg))
+        assert_bitwise(got.data, want.data)
 
 
 def frozen_input_noise_cues(scene, selector, cue_cutoff):

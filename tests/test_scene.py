@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binaural_mwf import InvalidInputError
 from binaural_mwf.scene import (
+    _channel_energy,
+    _frame_energy,
     ArrayGeometry,
     SceneSpec,
     ideal_vad,
@@ -15,7 +19,7 @@ from binaural_mwf.scene import (
 from binaural_mwf.spatial_stats import Selector, wrap_angle
 from binaural_mwf.stft import analyze
 
-from conftest import identity_filters
+from conftest import SUMMAND_SHAPES, assert_bitwise, identity_filters, summand_pair
 
 
 class TestSteering:
@@ -140,6 +144,29 @@ class TestIdealVad:
         fully_silent = (phase > 0.6) & (phase < 0.9)
         assert np.all(vad.active[fully_tone])
         assert not np.any(vad.active[fully_silent])
+
+
+def one_shot_power(data):
+    """Frozen whole-tensor |data|^2, squared in place."""
+    power = np.abs(data)
+    power **= 2
+    return power
+
+
+class TestBlockedEnergyMatchesOneShotForm:
+    """The VAD's per-frame energy, filled a block of frames at a time, and
+    the worst-ear test's per-microphone noise power equal the frozen
+    whole-tensor reductions bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), shape=SUMMAND_SHAPES)
+    def test_bitwise_equal(self, seed, shape):
+        data, _ = summand_pair(np.random.default_rng(seed), shape)
+        power = one_shot_power(data)
+        assert_bitwise(_frame_energy(data), np.sum(power, axis=(0, 2)))
+        per_channel = np.sum(power, axis=(1, 2))
+        for channel in range(shape[0]):
+            assert_bitwise(_channel_energy(data, channel), per_channel[channel])
 
 
 class TestSceneSynthesis:

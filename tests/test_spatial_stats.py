@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binaural_mwf import InvalidInputError
+from binaural_mwf import InvalidInputError, spatial_stats
 from binaural_mwf.costs import FilterPair
 from binaural_mwf.scene import VadLabels, steered_tensor, steering_vector
 from binaural_mwf.spatial_stats import (
@@ -18,7 +20,14 @@ from binaural_mwf.spatial_stats import (
 )
 from binaural_mwf.stft import SpectralTensor
 
-from conftest import identity_filters, random_psd
+from conftest import (
+    SUMMAND_CONFIGS,
+    SUMMAND_SHAPES,
+    assert_bitwise,
+    identity_filters,
+    random_psd,
+    summand_pair,
+)
 
 
 def complex_white(rng, shape):
@@ -127,6 +136,38 @@ class TestCovarianceMatchesOneShotForm:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
         np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+class TestSummandCovarianceMatchesOneShotForm:
+    """The covariance of the summands (x, v), gathered a group of bins at a
+    time, equals the frozen one-shot form on a stored y = x + v, bit for bit
+    and in the same layout, for group sizes that do not divide the bins."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31), shape=SUMMAND_SHAPES, group=st.sampled_from([2, 4, 8, 32]),
+           masked=st.booleans())
+    def test_bitwise_equal(self, seed, shape, group, masked):
+        rng = np.random.default_rng(seed)
+        frames = shape[1]
+        x, v = summand_pair(rng, shape)
+        frame_mask = rng.uniform(size=frames) < 0.5 if masked else None
+        selected = frames if frame_mask is None else np.count_nonzero(frame_mask)
+        with mock.patch.object(spatial_stats, "_GROUP_BINS", group):
+            if selected < 2:
+                with pytest.raises(InvalidInputError):
+                    covariance_per_bin((x, v), frame_mask)
+                return
+            got = covariance_per_bin((x, v), frame_mask)
+            want = one_shot_covariance(x + v, frame_mask)
+            assert got.strides == want.strides
+            assert_bitwise(got, want)
+            # the estimate reads the summands the same way, both VAD classes
+            vad = VadLabels(frame_mask if masked else np.arange(frames) % 2 == 0)
+            if min(vad.active_count, frames - vad.active_count) >= 2:
+                cfg = SUMMAND_CONFIGS[shape[2]]
+                phi = estimate_coherence((SpectralTensor(x, cfg), SpectralTensor(v, cfg)), vad)
+                assert_bitwise(phi.phi_yy, one_shot_covariance(x + v, vad.active))
+                assert_bitwise(phi.phi_vv, one_shot_covariance(x + v, ~vad.active))
 
 
 class TestPsdFloor:
