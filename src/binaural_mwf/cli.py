@@ -13,10 +13,11 @@ Runs are configured by a flat key-value file with dotted section prefixes
 key is validated against the schema below before any audio is read: an
 unknown, repeated or ill-typed key, a repeated variant or an invalid
 ``run.*`` weighting value exits 1 naming the key, as do ``process`` with
-both ``run.alpha`` and ``run.calibrate``, ``calibrate`` without a
-penalized variant or with ``run.alpha``, and ``sweep`` with ``run.alpha``
-or ``run.calibrate``; invalid ``array``, ``stft``, ``scene`` or ``solver``
-values exit 1 naming the section.  All randomness derives from one seed
+``run.alphas`` or with both ``run.alpha`` and ``run.calibrate``,
+``calibrate`` without a penalized variant or with ``run.alpha`` or
+``run.alphas``, and ``sweep`` with ``run.alpha`` or ``run.calibrate``;
+invalid ``array``, ``stft``, ``scene`` or ``solver`` values exit 1 naming
+the section.  All randomness derives from one seed
 (``run.seed``, overridable with ``--seed``), so identical configurations
 produce byte-identical artifacts, which ``wavio`` writes.
 
@@ -270,6 +271,7 @@ def _solve_variant(cfg: RunConfig, variant, scene, selector, phi):
 
 
 def cmd_process(cfg: RunConfig):
+    _reject_unused(cfg, "process", "alphas")
     penalized = [v for v in cfg.variants if v != "mwf"]
     if penalized and cfg.alpha is None and cfg.calibrate is None:
         raise ConfigError("run.alpha", f"required for variant {penalized[0]} "
@@ -300,8 +302,8 @@ def cmd_process(cfg: RunConfig):
             if cal.warning:
                 meta["warning"] = cal.warning
         extra["alphas"][variant] = meta
-        enhanced = metrics.apply_filters(solved.filters, (scene.x, scene.v))
-        audio = synthesize(enhanced)
+        # the enhanced tensor is dropped once synthesized, before the WAV is encoded
+        audio = synthesize(metrics.apply_filters(solved.filters, (scene.x, scene.v)))
         encoding = "pcm16" if cfg.write_pcm16 else "float32"
         wavio.write_wav(out / f"enhanced_{variant}.wav", audio,
                         cfg.stft.sample_rate, encoding=encoding)
@@ -349,7 +351,7 @@ def cmd_calibrate(cfg: RunConfig):
     penalized = [v for v in cfg.variants if v != "mwf"]
     if not penalized:
         raise ConfigError("run.variants", "calibrate needs mwf-itd or mwf-ic")
-    _reject_unused(cfg, "calibrate", "alpha")
+    _reject_unused(cfg, "calibrate", "alpha", "alphas")
     loss = solver.DEFAULT_LOSS_FRACTION if cfg.calibrate is None else cfg.calibrate
     scene, selector, phi = _prepare(cfg)
     doc = {"seed": cfg.seed, "loss_fraction": loss, "variants": {}}

@@ -145,10 +145,10 @@ def _mv(gapped, w):
     """Products Phi w_e (B, 2, M) of gapped matrices (B, M, 2M) and filter
     pairs (B, 2, M), one matrix-vector product per filter.
 
-    The gaps keep numpy's matmul from handing the products to BLAS, so each
-    entry is summed in order, exactly as numpy's per-bin ``Phi @ w`` does on
-    the coherence estimator's Phi_yy and Phi_vv, whose bin axis is
-    innermost.  Results therefore do not depend on the callers' layout.
+    The gaps keep numpy's matmul from handing the products to BLAS, which
+    may sum in another order, so each entry is summed in order whatever the
+    layout of the callers' Phi: the order the recorded artifacts were
+    computed in.
     """
     return (gapped[:, None, :, ::2] @ w[..., None])[..., 0]
 

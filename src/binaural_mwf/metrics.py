@@ -259,7 +259,7 @@ def _cue_pair(filters: FilterPair, scene, selector: Selector, cue_cutoff, name,
               tensor, frame_mask):
     """(input, output) cues on the direct covariance of ``tensor``'s frames."""
     phi = _scene_term(scene, name,
-                      lambda: covariance_per_bin(tensor.data, frame_mask))
+                      lambda: covariance_per_bin(tensor, (frame_mask,))[0])
     cfg = tensor.config
     cues_in = _scene_term(
         scene, (name, cue_cutoff) + _reference_key(selector),

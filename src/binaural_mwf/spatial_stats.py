@@ -3,10 +3,10 @@
 Coherence matrices are sample averages of frame outer products over the VAD
 classes; the speech matrix is the noise-subtracted estimate projected back
 onto the positive semi-definite cone.  The mixture y = x + v is not stored:
-the estimate reads its summands, gathers and adds ``_GROUP_BINS`` adjacent
-bins at a time and reduces one bin at a time, so it holds a few copies of
-one group's frames, not a sum, masked or conjugated copy of the whole
-tensor.  Cues of a filter pair
+the estimate adds its summands once per group of ``_GROUP_BINS`` adjacent
+bins, over all frames, and reduces both VAD classes' matrices of each bin
+from that group, so it holds a few copies of one group's frames, not a sum,
+masked or conjugated copy of the whole tensor.  Cues of a filter pair
 (w_l, w_r) against a noise matrix Phi are
 
     ipd = angle(w_l^H Phi w_r)
@@ -115,38 +115,40 @@ class CueEstimate:
     freqs: np.ndarray
 
 
-def covariance_per_bin(data, frame_mask=None):
-    """data (M, T, K) -> (K, M, M) average of frame outer products.
+def covariance_per_bin(tensor, frame_masks):
+    """(K, M, M) averages of frame outer products of (M, T, K) data, one
+    per frame mask (``None`` selects every frame).
 
-    ``data`` is one array or a tuple of arrays whose element-wise sum is the
-    data.  ``frame_mask`` selects the frames; without it every frame is
-    averaged.  Each step gathers ``_GROUP_BINS`` adjacent bins of the
-    selected frames from every summand and adds them; each bin of the group
-    is then reduced from a contiguous (M, T) copy of its frames, so no sum,
-    masked or conjugated copy of the whole data exists.  The result keeps
-    the bin axis innermost in memory (its (M, M, K) buffer viewed as
-    (K, M, M)), the layout of the single whole-tensor reduction it replaces;
-    the per-bin products of ``costs`` depend on that layout.
+    ``tensor`` is one ``SpectralTensor`` or a tuple of them whose
+    element-wise sum is the data (see ``stft.summands``).  The summands are
+    added once per group of ``_GROUP_BINS`` adjacent bins, over all frames;
+    each mask's estimate of each bin is reduced from a contiguous (M, T)
+    copy of that bin's selected frames, so no sum, masked or conjugated copy
+    of the whole data exists.  Each result keeps the bin axis innermost in
+    memory (an (M, M, K) buffer viewed as (K, M, M)): at 2 bins and 2
+    microphones, numpy's einsum in ``output_cues`` sums in another order on
+    a C-contiguous Phi, which moves the last bit of the output cues.
     """
-    parts = (data,) if isinstance(data, np.ndarray) else tuple(data)
+    parts = [p.data for p in summands(tensor)]
     m, t, bins = parts[0].shape
-    frames = slice(None)
-    if frame_mask is not None:
-        frames = np.asarray(frame_mask, dtype=bool)
-        t = int(np.count_nonzero(frames))
-    if t < 2:
+    frame_index = np.arange(t)
+    selections = [slice(None) if mask is None else frame_index[np.asarray(mask, dtype=bool)]
+                  for mask in frame_masks]
+    counts = [frame_index[frames].size for frames in selections]
+    if min(counts) < 2:
         raise InvalidInputError("need at least two frames for a covariance estimate")
-    cov = np.empty((m, m, bins), dtype=np.result_type(*parts))
+    covs = [np.empty((m, m, bins), dtype=np.result_type(*parts)) for _ in selections]
     for first in range(0, bins, _GROUP_BINS):
         group = slice(first, first + _GROUP_BINS)
-        block = parts[0][:, frames, group]
+        block = parts[0][:, :, group]
         for part in parts[1:]:
-            block = block + part[:, frames, group]
-        for j in range(block.shape[2]):
-            a = np.ascontiguousarray(block[:, :, j])
-            np.einsum("mt,nt->mn", a, a.conj(), out=cov[:, :, first + j])
-    cov = np.transpose(cov, (2, 0, 1)) / t
-    return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
+            block = block + part[:, :, group]
+        for frames, cov in zip(selections, covs):
+            for j in range(block.shape[2]):
+                a = np.ascontiguousarray(block[:, frames, j])
+                np.einsum("mt,nt->mn", a, a.conj(), out=cov[:, :, first + j])
+    covs = [np.transpose(cov, (2, 0, 1)) / count for cov, count in zip(covs, counts)]
+    return tuple(0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1)))) for cov in covs)
 
 
 def psd_floor(mats):
@@ -161,21 +163,14 @@ def estimate_coherence(spec, vad: VadLabels) -> CoherenceSet:
     """Estimate Phi_yy, Phi_vv and the floored Phi_xx from labeled frames.
 
     ``spec`` is the mixture y, or the tuple ``(x, v)`` whose sum it is.
-    Phi_vv averages noise-only frames, Phi_yy speech-active frames, and
-    Phi_xx is the eigenvalue-floored difference (finite averaging makes the
-    raw subtraction indefinite).
+    Phi_yy averages speech-active frames and Phi_vv noise-only frames, both
+    in one pass over the data; Phi_xx is the eigenvalue-floored difference
+    (finite averaging makes the raw subtraction indefinite).
     """
     parts = summands(spec)
     if parts[0].frame_count != vad.frame_count:
         raise InvalidInputError("VAD length does not match frame count")
-    active = vad.active
-    if active.sum() < 2 or (~active).sum() < 2:
-        raise InvalidInputError(
-            "need at least two frames of each class to estimate coherence"
-        )
-    data = tuple(p.data for p in parts)
-    phi_yy = covariance_per_bin(data, active)
-    phi_vv = covariance_per_bin(data, ~active)
+    phi_yy, phi_vv = covariance_per_bin(parts, (vad.active, ~vad.active))
     phi_xx = psd_floor(phi_yy - phi_vv)
     return CoherenceSet(phi_yy=phi_yy, phi_vv=phi_vv, phi_xx=phi_xx,
                         freqs=parts[0].config.freqs)

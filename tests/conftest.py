@@ -87,6 +87,13 @@ def random_coherence_set(rng, m, bins, freqs):
     )
 
 
+def bins_innermost(mats):
+    """(K, M, M) ``mats`` stored with the bin axis innermost in memory, the
+    coherence estimator's layout: each bin's matrix is a strided view that
+    numpy's matmul multiplies without BLAS."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), -1, 0)
+
+
 def assert_bitwise(got, want):
     """Equal values, dtype and sign bits (a -0.0 is not a +0.0)."""
     got, want = np.asarray(got), np.asarray(want)

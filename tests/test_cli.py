@@ -130,9 +130,12 @@ class TestConfigParsing:
         ("calibrate", "run.variants = mwf-ic\nrun.alpha = 40", "run.alpha"),
         ("sweep", "run.alphas = 1, 40\nrun.alpha = 40", "run.alpha"),
         ("sweep", "run.alphas = 1, 40\nrun.calibrate = 0.05", "run.calibrate"),
+        ("process", "run.variants = mwf\nrun.alphas = 1, 10", "run.alphas"),
+        ("calibrate", "run.variants = mwf-ic\nrun.alphas = 1, 10", "run.alphas"),
     ], ids=["array", "stft", "solver", "scene", "duplicate variant", "alpha and calibrate",
             "calibrate without penalized variant", "calibrate with alpha",
-            "sweep with alpha", "sweep with calibrate"])
+            "sweep with alpha", "sweep with calibrate", "process with alphas",
+            "calibrate with alphas"])
     def test_invalid_value_names_key_or_section(self, tmp_path, speech_wav, capsys,
                                                 no_scene, command, line, key):
         assert_rejected(tmp_path, speech_wav, capsys, command, line, key)

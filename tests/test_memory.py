@@ -18,7 +18,7 @@ import pytest
 from binaural_mwf.metrics import apply_filters, evaluate_filters
 from binaural_mwf.scene import SceneSpec, synthesize_scene
 from binaural_mwf.spatial_stats import covariance_per_bin, estimate_coherence
-from binaural_mwf.stft import synthesize
+from binaural_mwf.stft import SpectralTensor, StftConfig, synthesize
 
 
 def transient(fn, *args, **kwargs):
@@ -46,7 +46,8 @@ def test_covariance_holds_one_bin_at_a_time(masked):
     shape = (6, 4000, 129)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     mask = rng.uniform(size=shape[1]) < 0.6 if masked else None
-    assert transient(covariance_per_bin, data, mask) < 0.1 * data.nbytes
+    tensor = SpectralTensor(data, StftConfig())
+    assert transient(covariance_per_bin, tensor, (mask,)) < 0.1 * data.nbytes
 
 
 def test_scene_holds_two_tensors(speech, geometry, cfg, scene30):

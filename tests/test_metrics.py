@@ -375,7 +375,7 @@ def frozen_input_noise_cues(scene, selector, cue_cutoff):
     """The former "unprocessed" column of ic_spectrum.csv: output cues of the
     pass-through filter pair."""
     identity = identity_filters(selector, scene.x.bin_count)
-    return output_cues(covariance_per_bin(scene.v.data), identity, scene.v.config,
+    return output_cues(covariance_per_bin(scene.v, (None,))[0], identity, scene.v.config,
                        cue_cutoff)
 
 
@@ -406,7 +406,7 @@ class TestUnprocessedMatchesFrozenIdentityPath:
         assert bands_got.tobytes() == bands_want.tobytes()
 
         want = frozen_input_noise_cues(scene, selector, cue_cutoff)
-        got = input_cues(covariance_per_bin(v.data), selector, self.CFG, cue_cutoff)
+        got = input_cues(covariance_per_bin(v, (None,))[0], selector, self.CFG, cue_cutoff)
         np.testing.assert_array_equal(got.valid, want.valid)
         # equal values; only the sign of a zero part could differ, which no
         # artifact shows (ic_spectrum.csv writes |ic|)

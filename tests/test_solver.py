@@ -34,6 +34,7 @@ from binaural_mwf.spatial_stats import (
 )
 
 from conftest import (
+    bins_innermost,
     low_rank_psd,
     random_coherence_set,
     random_filters,
@@ -48,14 +49,10 @@ def one_bin(phi, k):
                         phi_xx=phi.phi_xx[k : k + 1], freqs=phi.freqs[k : k + 1])
 
 
-def bins_innermost(phi):
-    """``phi`` laid out as ``estimate_coherence`` returns it: Phi_yy and
-    Phi_vv with the bin axis innermost, strided views that numpy's matmul
-    multiplies without BLAS."""
-    def lay_out(mats):
-        return np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), -1, 0)
-
-    return CoherenceSet(phi_yy=lay_out(phi.phi_yy), phi_vv=lay_out(phi.phi_vv),
+def laid_out_bins_innermost(phi):
+    """``phi`` with Phi_yy and Phi_vv, the estimator's outputs, stored bin
+    axis innermost (``conftest.bins_innermost``)."""
+    return CoherenceSet(phi_yy=bins_innermost(phi.phi_yy), phi_vv=bins_innermost(phi.phi_vv),
                         phi_xx=phi.phi_xx, freqs=phi.freqs)
 
 
@@ -388,7 +385,7 @@ class TestSolveAllBins:
             assert np.array_equal(got, want[order])
         assert np.any(base.iterations > 0)
         # a solve's bits do not depend on the memory layout of its inputs
-        laid_out = solve_all_bins(spec, bins_innermost(phi), sel, cfg)
+        laid_out = solve_all_bins(spec, laid_out_bins_innermost(phi), sel, cfg)
         for got, want in ((laid_out.filters.w_l, base.filters.w_l),
                           (laid_out.filters.w_r, base.filters.w_r),
                           (laid_out.cost, base.cost),

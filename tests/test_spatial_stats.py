@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binaural_mwf import InvalidInputError, spatial_stats
-from binaural_mwf.costs import FilterPair
+from binaural_mwf.costs import FilterPair, input_ic, input_ipd
 from binaural_mwf.scene import VadLabels, steered_tensor, steering_vector
 from binaural_mwf.spatial_stats import (
     Selector,
@@ -18,13 +18,16 @@ from binaural_mwf.spatial_stats import (
     psd_floor,
     wrap_angle,
 )
-from binaural_mwf.stft import SpectralTensor
+from binaural_mwf.solver import closed_form_bin
+from binaural_mwf.stft import SpectralTensor, StftConfig
 
 from conftest import (
     SUMMAND_CONFIGS,
     SUMMAND_SHAPES,
     assert_bitwise,
+    bins_innermost,
     identity_filters,
+    low_rank_psd,
     random_psd,
     summand_pair,
 )
@@ -108,6 +111,36 @@ def one_shot_covariance(data, frame_mask=None):
     return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
 
 
+def frozen_per_bin_covariance(data, frame_mask=None):
+    """Frozen per-bin form of the estimator before it read several masks in
+    one pass: the selected frames of a group of bins gathered from every
+    summand and added, each bin reduced from a contiguous copy into an
+    (M, M, K) buffer (groups of 4 bins)."""
+    parts = (data,) if isinstance(data, np.ndarray) else tuple(data)
+    m, t, bins = parts[0].shape
+    frames = slice(None)
+    if frame_mask is not None:
+        frames = np.asarray(frame_mask, dtype=bool)
+        t = int(np.count_nonzero(frames))
+    cov = np.empty((m, m, bins), dtype=np.result_type(*parts))
+    for first in range(0, bins, 4):
+        group = slice(first, first + 4)
+        block = parts[0][:, frames, group]
+        for part in parts[1:]:
+            block = block + part[:, frames, group]
+        for j in range(block.shape[2]):
+            a = np.ascontiguousarray(block[:, :, j])
+            np.einsum("mt,nt->mn", a, a.conj(), out=cov[:, :, first + j])
+    cov = np.transpose(cov, (2, 0, 1)) / t
+    return 0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1))))
+
+
+def config_of(bins, sample_rate=16000.0):
+    """An STFT configuration with ``bins`` one-sided bins."""
+    return StftConfig(fft_size=2 * bins - 1, window_len=1, hop=1, window="rect",
+                      sample_rate=sample_rate)
+
+
 class TestCovarianceMatchesOneShotForm:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -128,20 +161,22 @@ class TestCovarianceMatchesOneShotForm:
                       "random": rng.uniform(size=frames) < 0.5}[mask]
         if mask == "random":
             frame_mask[rng.choice(frames, 2, replace=False)] = True
-        got = covariance_per_bin(data, frame_mask)
-        want = one_shot_covariance(data, frame_mask)
-        # the bin axis stays innermost in memory: per-bin products in costs
-        # depend on it
-        assert got.strides == want.strides and got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got.real), np.signbit(want.real))
-        np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        # one pass serves every mask; each estimate is the one it has alone
+        got, got_all = covariance_per_bin(SpectralTensor(data, config_of(bins)),
+                                          (frame_mask, None))
+        for got, want in ((got, one_shot_covariance(data, frame_mask)),
+                          (got_all, one_shot_covariance(data))):
+            # the bin axis stays innermost in memory: output_cues depends on it
+            # (TestLayoutReaders)
+            assert got.strides == want.strides
+            assert_bitwise(got, want)
 
 
 class TestSummandCovarianceMatchesOneShotForm:
-    """The covariance of the summands (x, v), gathered a group of bins at a
-    time, equals the frozen one-shot form on a stored y = x + v, bit for bit
-    and in the same layout, for group sizes that do not divide the bins."""
+    """The covariance of the summands (x, v), added once per group of bins
+    for every mask, equals the frozen one-shot form on a stored y = x + v,
+    bit for bit and in the same layout, for group sizes that do not divide
+    the bins."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), shape=SUMMAND_SHAPES, group=st.sampled_from([2, 4, 8, 32]),
@@ -150,24 +185,88 @@ class TestSummandCovarianceMatchesOneShotForm:
         rng = np.random.default_rng(seed)
         frames = shape[1]
         x, v = summand_pair(rng, shape)
+        cfg = SUMMAND_CONFIGS[shape[2]]
+        summands = (SpectralTensor(x, cfg), SpectralTensor(v, cfg))
         frame_mask = rng.uniform(size=frames) < 0.5 if masked else None
         selected = frames if frame_mask is None else np.count_nonzero(frame_mask)
         with mock.patch.object(spatial_stats, "_GROUP_BINS", group):
             if selected < 2:
                 with pytest.raises(InvalidInputError):
-                    covariance_per_bin((x, v), frame_mask)
+                    covariance_per_bin(summands, (frame_mask,))
                 return
-            got = covariance_per_bin((x, v), frame_mask)
+            (got,) = covariance_per_bin(summands, (frame_mask,))
             want = one_shot_covariance(x + v, frame_mask)
             assert got.strides == want.strides
             assert_bitwise(got, want)
             # the estimate reads the summands the same way, both VAD classes
             vad = VadLabels(frame_mask if masked else np.arange(frames) % 2 == 0)
             if min(vad.active_count, frames - vad.active_count) >= 2:
-                cfg = SUMMAND_CONFIGS[shape[2]]
-                phi = estimate_coherence((SpectralTensor(x, cfg), SpectralTensor(v, cfg)), vad)
+                phi = estimate_coherence(summands, vad)
                 assert_bitwise(phi.phi_yy, one_shot_covariance(x + v, vad.active))
                 assert_bitwise(phi.phi_vv, one_shot_covariance(x + v, ~vad.active))
+
+
+class TestLongCovarianceMatchesPerBinForm:
+    """More selected frames per mask than numpy's 8,192-element iterator
+    buffer, as in a 60 s scene: the one-pass estimate equals the frozen
+    per-bin form bit for bit, for one tensor and for the summands (x, v),
+    for both masks."""
+
+    def test_bitwise_equal(self):
+        rng = np.random.default_rng(18)
+        shape = (6, 18500, 10)  # 10 bins: the last group is partial
+        x, v = summand_pair(rng, shape)
+        active = rng.uniform(size=shape[1]) < 0.5
+        masks = (active, ~active)
+        assert min(np.count_nonzero(active), np.count_nonzero(~active)) >= 9000
+        cfg = config_of(shape[2])
+        for data, tensor in ((x, SpectralTensor(x, cfg)),
+                             ((x, v), (SpectralTensor(x, cfg), SpectralTensor(v, cfg)))):
+            for got, mask in zip(covariance_per_bin(tensor, masks), masks):
+                assert_bitwise(got, frozen_per_bin_covariance(data, mask))
+
+
+class TestLayoutReaders:
+    """Of the readers of the estimator's Phi_yy and Phi_vv, only
+    ``output_cues`` depends on their memory layout, and only at 2 bins and 2
+    microphones: there numpy's einsum sums in another order on a
+    C-contiguous Phi than on one stored bin axis innermost, the estimator's
+    layout.  Every other reader gives the same bits in both layouts (Phi_xx
+    comes from ``psd_floor`` either way).  Low-rank matrices take the closed
+    form's loading path, zero ones its no-speech path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), mics=st.integers(2, 8), bins=st.integers(2, 40),
+           data=st.data())
+    def test_bitwise_equal(self, seed, mics, bins, data):
+        rng = np.random.default_rng(seed)
+        il = data.draw(st.integers(0, mics - 1), label="left reference")
+        ir = data.draw(st.integers(0, mics - 1), label="right reference")
+        selector = Selector(q_l=np.eye(mics)[il], q_r=np.eye(mics)[ir])
+        rank = st.integers(0, mics)
+        scales = 10.0 ** rng.uniform(-3, 3, size=bins)
+        phi_xx = np.stack([s * low_rank_psd(rng, mics, data.draw(rank)) for s in scales])
+        phi_vv = np.stack([s * low_rank_psd(rng, mics, data.draw(rank)) for s in scales])
+        phi_yy = phi_xx + phi_vv
+        filters = FilterPair(w_l=complex_white(rng, (bins, mics)),
+                             w_r=complex_white(rng, (bins, mics)))
+        # every bin but DC in the cue band
+        cfg = config_of(bins, sample_rate=3000.0)
+
+        def read(phi_yy, phi_vv):
+            cue_sets = [input_cues(phi_vv, selector, cfg)]
+            if (bins, mics) != (2, 2):
+                cue_sets.append(output_cues(phi_vv, filters, cfg))
+            out = [c for cues in cue_sets for c in (cues.ipd, cues.itd, cues.ic, cues.valid)]
+            for k in range(bins):
+                out += closed_form_bin(phi_yy[k], phi_xx[k], selector)
+                out += [input_ipd(phi_vv[k], selector.q_l, selector.q_r),
+                        input_ic(phi_vv[k], selector.q_l, selector.q_r)]
+            return [np.asarray(value).tobytes() for value in out]
+
+        laid_out = bins_innermost(phi_yy), bins_innermost(phi_vv)
+        assert laid_out[1].strides[0] == phi_vv.itemsize
+        assert read(*laid_out) == read(phi_yy, phi_vv)
 
 
 class TestPsdFloor:
