@@ -28,7 +28,7 @@ scene.noise_azimuth = 60
 scene.target_snr_worst_ear = 0
 
 run.variants = mwf, mwf-itd, mwf-ic
-run.alpha = 40            # or: run.calibrate = 0.15 (see scripts/run_tradeoff.py)
+run.alpha = 40            # or, in its place: run.calibrate = 0.15 (scripts/run_tradeoff.py)
 run.seed = 1234
 run.out_dir = {out.resolve() / 'out'}
 """

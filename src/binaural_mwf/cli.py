@@ -11,18 +11,18 @@ Subcommands:
 Runs are configured by a flat key-value file with dotted section prefixes
 (``scene.noise_azimuth = 60``); a key's suffix is the field it sets.  Every
 key is validated against the schema below before any audio is read: an
-unknown, repeated or ill-typed key, a repeated variant or an invalid
-``run.*`` weighting value exits 1 naming the key, as do ``process`` with
-``run.alphas`` or with both ``run.alpha`` and ``run.calibrate``,
-``calibrate`` without a penalized variant or with ``run.alpha`` or
-``run.alphas``, and ``sweep`` with ``run.alpha`` or ``run.calibrate``;
-invalid ``array``, ``stft``, ``scene`` or ``solver`` values exit 1 naming
-the section.  All randomness derives from one seed
-(``run.seed``, overridable with ``--seed``), so identical configurations
-produce byte-identical artifacts, which ``wavio`` writes.
+unknown, repeated or ill-typed key, a repeated variant, an invalid ``run.*``
+weighting value or a ``run.*`` key the command ignores (``run.alphas``
+outside ``sweep``, ``run.alpha`` outside ``process``, ``run.calibrate`` in
+``sweep``, both without a penalized variant) exits 1 naming the key, as do
+``process`` with both ``run.alpha`` and ``run.calibrate`` and ``calibrate``
+without a penalized variant; invalid ``array``, ``stft``, ``scene`` or
+``solver`` values exit 1 naming the section.  All randomness derives from
+one seed (``run.seed``, overridable with ``--seed``), so identical
+configurations produce byte-identical artifacts, which ``wavio`` writes.
 
-Exit codes: 0 success, 1 invalid configuration, 2 I/O failure, 3 solver
-non-convergence on more than 10% of bins.
+Exit codes: 0 success, 1 invalid configuration, 2 I/O failure, 3 (``process``
+and ``calibrate``) solver non-convergence on more than 10% of bins.
 """
 
 from __future__ import annotations
@@ -219,6 +219,15 @@ def _reject_unused(cfg: RunConfig, command, *names):
             raise ConfigError(f"run.{name}", f"not used by {command}")
 
 
+def _convergence_exit(fractions):
+    """3, with a warning, if a solve's unconverged fraction of bins exceeds 10%, else 0."""
+    worst = max(fractions)
+    if worst > _NONCONVERGED_LIMIT:
+        print(f"warning: {worst:.1%} of bins did not converge", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    return EXIT_OK
+
+
 def _prepare(cfg: RunConfig):
     """(scene, selector, coherence of the mixture) of the configured run."""
     speech, _ = wavio.read_wav(cfg.speech_wav, expected_rate=cfg.stft.sample_rate)
@@ -273,7 +282,9 @@ def _solve_variant(cfg: RunConfig, variant, scene, selector, phi):
 def cmd_process(cfg: RunConfig):
     _reject_unused(cfg, "process", "alphas")
     penalized = [v for v in cfg.variants if v != "mwf"]
-    if penalized and cfg.alpha is None and cfg.calibrate is None:
+    if not penalized:
+        _reject_unused(cfg, "process without mwf-itd or mwf-ic", "alpha", "calibrate")
+    elif cfg.alpha is None and cfg.calibrate is None:
         raise ConfigError("run.alpha", f"required for variant {penalized[0]} "
                           "(or set run.calibrate)")
     if cfg.alpha is not None and cfg.calibrate is not None:
@@ -315,11 +326,7 @@ def cmd_process(cfg: RunConfig):
     metrics.report_to_json(out / "metrics.json", reports, extra=extra)
     metrics.write_ic_spectrum_csv(out / "ic_spectrum.csv", cfg.stft.freqs,
                                   {"unprocessed": cues_in, **cues_by_variant})
-    worst = max(meta["nonconverged_fraction"] for meta in extra["alphas"].values())
-    if worst > _NONCONVERGED_LIMIT:
-        print(f"warning: {worst:.1%} of bins did not converge", file=sys.stderr)
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _convergence_exit(m["nonconverged_fraction"] for m in extra["alphas"].values())
 
 
 def cmd_sweep(cfg: RunConfig):
@@ -355,8 +362,10 @@ def cmd_calibrate(cfg: RunConfig):
     loss = solver.DEFAULT_LOSS_FRACTION if cfg.calibrate is None else cfg.calibrate
     scene, selector, phi = _prepare(cfg)
     doc = {"seed": cfg.seed, "loss_fraction": loss, "variants": {}}
+    fractions = []
     for variant in penalized:
         cal = _calibrate(cfg, variant, loss, scene, selector, phi)
+        fractions.append(cal.solve.nonconverged_fraction)
         doc["variants"][variant] = {
             "alpha": cal.alpha,
             "achieved_snr_loss": cal.achieved_loss,
@@ -367,7 +376,7 @@ def cmd_calibrate(cfg: RunConfig):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     wavio.write_json(out / "calibration.json", doc)
-    return EXIT_OK
+    return _convergence_exit(fractions)
 
 
 def cmd_phase_pdf(args):

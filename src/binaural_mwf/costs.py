@@ -63,10 +63,8 @@ class CostSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidInputError(f"variant must be one of {VARIANTS}")
-        if not np.isfinite(self.alpha):
-            raise InvalidInputError("alpha must be finite")
-        if self.alpha < 0:
-            raise InvalidInputError("alpha must be non-negative")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise InvalidInputError("alpha must be finite and non-negative")
         if not (np.isfinite(self.cue_cutoff) and self.cue_cutoff > 0):
             raise InvalidInputError("cue_cutoff must be finite and positive")
 

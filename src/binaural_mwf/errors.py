@@ -1,4 +1,4 @@
-import math
+import cmath
 
 
 class InvalidInputError(ValueError):
@@ -6,9 +6,9 @@ class InvalidInputError(ValueError):
 
 
 def require_finite(owner, *names):
-    """Reject the first of ``owner``'s fields ``names`` that is NaN or infinite."""
+    """Reject the first of ``owner``'s real or complex fields ``names`` that is not finite."""
     for name in names:
-        if not math.isfinite(getattr(owner, name)):
+        if not cmath.isfinite(getattr(owner, name)):
             raise InvalidInputError(f"{name} must be finite")
 
 

@@ -177,13 +177,9 @@ def isnr_gain(snr_out, snr_in):
     return gains[0], gains[1]
 
 
-def _joint_valid(cues_in: CueEstimate, cues_out: CueEstimate):
-    return cues_in.valid & cues_out.valid
-
-
 def delta_itd(cues_in: CueEstimate, cues_out: CueEstimate):
     """Mean normalized phase-cue deviation over valid bins, in [0, 1]."""
-    mask = _joint_valid(cues_in, cues_out)
+    mask = cues_in.valid & cues_out.valid
     if not np.any(mask):
         return float("nan")
     dev = np.abs(wrap_angle(cues_out.ipd[mask] - cues_in.ipd[mask])) / np.pi
@@ -192,7 +188,7 @@ def delta_itd(cues_in: CueEstimate, cues_out: CueEstimate):
 
 def delta_msc(cues_in: CueEstimate, cues_out: CueEstimate):
     """Mean squared magnitude-coherence deviation over valid bins, in [0, 1]."""
-    mask = _joint_valid(cues_in, cues_out)
+    mask = cues_in.valid & cues_out.valid
     if not np.any(mask):
         return float("nan")
     diff = np.abs(cues_out.ic[mask]) ** 2 - np.abs(cues_in.ic[mask]) ** 2

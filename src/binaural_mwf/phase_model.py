@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 
 # Below this 1 - eta^2 the bracket is evaluated by series expansion; the
 # direct expression loses digits to cancellation as eta -> +-1.
@@ -38,6 +38,7 @@ class RatioPhaseParams:
     sigma_y: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "rho", "sigma_x", "sigma_y")
         if abs(self.rho) > 1.0 + 1e-12:
             raise InvalidInputError("|rho| must not exceed 1")
         if self.sigma_x <= 0 or self.sigma_y <= 0:

@@ -517,10 +517,8 @@ def _probe(variant_spec, phi, selector, scene, solver_cfg, alpha):
 
 def check_loss_fraction(loss_fraction):
     """Reject a worst-ear SNR loss fraction that is not finite and >= 0."""
-    if not np.isfinite(loss_fraction):
-        raise InvalidInputError("loss_fraction must be finite")
-    if loss_fraction < 0:
-        raise InvalidInputError("loss_fraction must be non-negative")
+    if not (np.isfinite(loss_fraction) and loss_fraction >= 0):
+        raise InvalidInputError("loss_fraction must be finite and non-negative")
 
 
 def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,

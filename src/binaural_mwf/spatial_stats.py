@@ -2,12 +2,9 @@
 
 Coherence matrices are sample averages of frame outer products over the VAD
 classes; the speech matrix is the noise-subtracted estimate projected back
-onto the positive semi-definite cone.  The mixture y = x + v is not stored:
-the estimate adds its summands once per group of ``_GROUP_BINS`` adjacent
-bins, over all frames, and reduces both VAD classes' matrices of each bin
-from that group, so it holds a few copies of one group's frames, not a sum,
-masked or conjugated copy of the whole tensor.  Cues of a filter pair
-(w_l, w_r) against a noise matrix Phi are
+onto the positive semi-definite cone; the mixture y = x + v is never
+stored (``covariance_per_bin``).  Cues of a filter pair (w_l, w_r) against
+a noise matrix Phi are
 
     ipd = angle(w_l^H Phi w_r)
     ic  = (w_l^H Phi w_r) / sqrt((w_l^H Phi w_l)(w_r^H Phi w_r))
@@ -124,10 +121,7 @@ def covariance_per_bin(tensor, frame_masks):
     added once per group of ``_GROUP_BINS`` adjacent bins, over all frames;
     each mask's estimate of each bin is reduced from a contiguous (M, T)
     copy of that bin's selected frames, so no sum, masked or conjugated copy
-    of the whole data exists.  Each result keeps the bin axis innermost in
-    memory (an (M, M, K) buffer viewed as (K, M, M)): at 2 bins and 2
-    microphones, numpy's einsum in ``output_cues`` sums in another order on
-    a C-contiguous Phi, which moves the last bit of the output cues.
+    of the whole data exists.
     """
     parts = [p.data for p in summands(tensor)]
     m, t, bins = parts[0].shape
@@ -137,7 +131,7 @@ def covariance_per_bin(tensor, frame_masks):
     counts = [frame_index[frames].size for frames in selections]
     if min(counts) < 2:
         raise InvalidInputError("need at least two frames for a covariance estimate")
-    covs = [np.empty((m, m, bins), dtype=np.result_type(*parts)) for _ in selections]
+    covs = [np.empty((bins, m, m), dtype=np.result_type(*parts)) for _ in selections]
     for first in range(0, bins, _GROUP_BINS):
         group = slice(first, first + _GROUP_BINS)
         block = parts[0][:, :, group]
@@ -146,8 +140,8 @@ def covariance_per_bin(tensor, frame_masks):
         for frames, cov in zip(selections, covs):
             for j in range(block.shape[2]):
                 a = np.ascontiguousarray(block[:, frames, j])
-                np.einsum("mt,nt->mn", a, a.conj(), out=cov[:, :, first + j])
-    covs = [np.transpose(cov, (2, 0, 1)) / count for cov, count in zip(covs, counts)]
+                np.einsum("mt,nt->mn", a, a.conj(), out=cov[first + j])
+    covs = [cov / count for cov, count in zip(covs, counts)]
     return tuple(0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1)))) for cov in covs)
 
 
@@ -203,7 +197,8 @@ def input_cues(phi_vv, selector: Selector, cfg: StftConfig, cue_cutoff=CUE_CUTOF
 
 def output_cues(phi_vv, filters, cfg: StftConfig, cue_cutoff=CUE_CUTOFF_HZ):
     """Interaural cues at the filter outputs, Hermitian form on both sides."""
-    phi = np.asarray(phi_vv)
+    # a copy stored bin axis innermost: the recorded artifacts were summed in that order
+    phi = np.ascontiguousarray(np.transpose(phi_vv, (1, 2, 0))).transpose(2, 0, 1)
     w_l = np.asarray(filters.w_l)
     w_r = np.asarray(filters.w_r)
     if not (np.all(np.isfinite(w_l)) and np.all(np.isfinite(w_r))):

@@ -89,7 +89,7 @@ def random_coherence_set(rng, m, bins, freqs):
 
 def bins_innermost(mats):
     """(K, M, M) ``mats`` stored with the bin axis innermost in memory, the
-    coherence estimator's layout: each bin's matrix is a strided view that
+    order ``output_cues`` sums in: each bin's matrix is a strided view that
     numpy's matmul multiplies without BLAS."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), -1, 0)
 

@@ -132,10 +132,13 @@ class TestConfigParsing:
         ("sweep", "run.alphas = 1, 40\nrun.calibrate = 0.05", "run.calibrate"),
         ("process", "run.variants = mwf\nrun.alphas = 1, 10", "run.alphas"),
         ("calibrate", "run.variants = mwf-ic\nrun.alphas = 1, 10", "run.alphas"),
+        ("process", "run.variants = mwf\nrun.alpha = 40", "run.alpha"),
+        ("process", "run.variants = mwf\nrun.calibrate = 0.15", "run.calibrate"),
     ], ids=["array", "stft", "solver", "scene", "duplicate variant", "alpha and calibrate",
             "calibrate without penalized variant", "calibrate with alpha",
             "sweep with alpha", "sweep with calibrate", "process with alphas",
-            "calibrate with alphas"])
+            "calibrate with alphas", "mwf-only process with alpha",
+            "mwf-only process with calibrate"])
     def test_invalid_value_names_key_or_section(self, tmp_path, speech_wav, capsys,
                                                 no_scene, command, line, key):
         assert_rejected(tmp_path, speech_wav, capsys, command, line, key)
@@ -424,6 +427,16 @@ class TestCalibrateCommand:
         rec = doc["variants"]["mwf-ic"]
         assert rec["alpha"] > 0
         assert rec["achieved_snr_loss"] <= 0.15 + 1e-9
+
+    def test_nonconvergence_exit_code(self, tmp_path, speech_wav, capsys):
+        # one iteration leaves the chosen solve's penalized bins unconverged:
+        # exit 3, as process does, with the calibration still written
+        out = tmp_path / "out"
+        conf = write_config(tmp_path / "c.conf", speech_wav, out,
+                            extra="run.variants = mwf-ic\nsolver.max_iterations = 1")
+        assert cli.main(["calibrate", "--config", str(conf)]) == cli.EXIT_NONCONVERGED
+        assert "did not converge" in capsys.readouterr().err
+        assert (out / "calibration.json").is_file()
 
     def test_infinite_reference_snr_rejected(self, tmp_path, speech_wav, capsys):
         # no noise: the reference SNR is infinite, so no fractional loss of

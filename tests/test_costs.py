@@ -722,9 +722,8 @@ class _ParentCoherenceTerm:
 
 
 def bin_innermost(mat):
-    """``mat`` laid out as one bin of the coherence estimator's Phi_yy and
-    Phi_vv, whose bin axis is innermost: a strided view, which numpy's
-    matmul multiplies without BLAS."""
+    """``mat`` laid out as one bin of a Phi stored bin axis innermost: a
+    strided view, which numpy's matmul multiplies without BLAS."""
     out = np.empty(mat.shape + (2,), dtype=complex)
     out[..., 0] = mat
     return out[..., 0]

@@ -82,6 +82,14 @@ class TestPdf:
         with pytest.raises(InvalidInputError):
             RatioPhaseParams(rho=0.1, sigma_x=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rho", np.nan), ("rho", complex(0.5, np.nan)), ("rho", complex(np.inf, 0.0)),
+        ("sigma_x", np.inf), ("sigma_x", np.nan), ("sigma_y", np.nan), ("sigma_y", -np.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            RatioPhaseParams(**{"rho": 0.5, field: value})
+
 
 class TestSampler:
     def test_sample_covariance_matches_spec(self):

@@ -50,8 +50,8 @@ def one_bin(phi, k):
 
 
 def laid_out_bins_innermost(phi):
-    """``phi`` with Phi_yy and Phi_vv, the estimator's outputs, stored bin
-    axis innermost (``conftest.bins_innermost``)."""
+    """``phi`` with Phi_yy and Phi_vv stored bin axis innermost
+    (``conftest.bins_innermost``)."""
     return CoherenceSet(phi_yy=bins_innermost(phi.phi_yy), phi_vv=bins_innermost(phi.phi_vv),
                         phi_xx=phi.phi_xx, freqs=phi.freqs)
 

@@ -166,17 +166,13 @@ class TestCovarianceMatchesOneShotForm:
                                           (frame_mask, None))
         for got, want in ((got, one_shot_covariance(data, frame_mask)),
                           (got_all, one_shot_covariance(data))):
-            # the bin axis stays innermost in memory: output_cues depends on it
-            # (TestLayoutReaders)
-            assert got.strides == want.strides
             assert_bitwise(got, want)
 
 
 class TestSummandCovarianceMatchesOneShotForm:
     """The covariance of the summands (x, v), added once per group of bins
     for every mask, equals the frozen one-shot form on a stored y = x + v,
-    bit for bit and in the same layout, for group sizes that do not divide
-    the bins."""
+    bit for bit, for group sizes that do not divide the bins."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), shape=SUMMAND_SHAPES, group=st.sampled_from([2, 4, 8, 32]),
@@ -195,9 +191,7 @@ class TestSummandCovarianceMatchesOneShotForm:
                     covariance_per_bin(summands, (frame_mask,))
                 return
             (got,) = covariance_per_bin(summands, (frame_mask,))
-            want = one_shot_covariance(x + v, frame_mask)
-            assert got.strides == want.strides
-            assert_bitwise(got, want)
+            assert_bitwise(got, one_shot_covariance(x + v, frame_mask))
             # the estimate reads the summands the same way, both VAD classes
             vad = VadLabels(frame_mask if masked else np.arange(frames) % 2 == 0)
             if min(vad.active_count, frames - vad.active_count) >= 2:
@@ -227,17 +221,18 @@ class TestLongCovarianceMatchesPerBinForm:
 
 
 class TestLayoutReaders:
-    """Of the readers of the estimator's Phi_yy and Phi_vv, only
-    ``output_cues`` depends on their memory layout, and only at 2 bins and 2
+    """Every reader of Phi_yy and Phi_vv gives the same bits on a
+    C-contiguous Phi as on one stored bin axis innermost.  ``output_cues``
+    sums in one order whatever the layout, which matters at 2 bins and 2
     microphones: there numpy's einsum sums in another order on a
-    C-contiguous Phi than on one stored bin axis innermost, the estimator's
-    layout.  Every other reader gives the same bits in both layouts (Phi_xx
-    comes from ``psd_floor`` either way).  Low-rank matrices take the closed
-    form's loading path, zero ones its no-speech path."""
+    C-contiguous Phi.  Low-rank matrices take the closed form's loading
+    path, zero ones its no-speech path."""
 
+    # 2 bins and 2 microphones, where einsum's order depends on the layout,
+    # are drawn often
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31), mics=st.integers(2, 8), bins=st.integers(2, 40),
-           data=st.data())
+    @given(seed=st.integers(0, 2**31), mics=st.just(2) | st.integers(2, 8),
+           bins=st.just(2) | st.integers(2, 40), data=st.data())
     def test_bitwise_equal(self, seed, mics, bins, data):
         rng = np.random.default_rng(seed)
         il = data.draw(st.integers(0, mics - 1), label="left reference")
@@ -254,10 +249,9 @@ class TestLayoutReaders:
         cfg = config_of(bins, sample_rate=3000.0)
 
         def read(phi_yy, phi_vv):
-            cue_sets = [input_cues(phi_vv, selector, cfg)]
-            if (bins, mics) != (2, 2):
-                cue_sets.append(output_cues(phi_vv, filters, cfg))
+            cue_sets = [input_cues(phi_vv, selector, cfg), output_cues(phi_vv, filters, cfg)]
             out = [c for cues in cue_sets for c in (cues.ipd, cues.itd, cues.ic, cues.valid)]
+            out.append(psd_floor(phi_yy - phi_vv))
             for k in range(bins):
                 out += closed_form_bin(phi_yy[k], phi_xx[k], selector)
                 out += [input_ipd(phi_vv[k], selector.q_l, selector.q_r),
