@@ -21,8 +21,8 @@ without a penalized variant; invalid ``array``, ``stft``, ``scene`` or
 one seed (``run.seed``, overridable with ``--seed``), so identical
 configurations produce byte-identical artifacts, which ``wavio`` writes.
 
-Exit codes: 0 success, 1 invalid configuration, 2 I/O failure, 3 (``process``
-and ``calibrate``) solver non-convergence on more than 10% of bins.
+Exit codes: 0 success, 1 invalid configuration, 2 I/O failure, 3 solver
+non-convergence on more than 10% of bins in any solve a command reports.
 """
 
 from __future__ import annotations
@@ -351,7 +351,8 @@ def cmd_sweep(cfg: RunConfig):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     solver.write_sweep_csv(out / "sweep.csv", rows_by_variant)
-    return EXIT_OK
+    return _convergence_exit(row["nonconverged_fraction"]
+                             for rows in rows_by_variant.values() for row in rows)
 
 
 def cmd_calibrate(cfg: RunConfig):

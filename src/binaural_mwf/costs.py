@@ -407,24 +407,22 @@ def j_w(w_l, w_r, phi_xx, phi_yy, q_l, q_r) -> CostEval:
     return _first_lane(*term.value_and_gradient(_pair(w_l, w_r)))
 
 
-def j_ipd(w_l, w_r, phi_vv, q_l, q_r, ipd_in=None) -> CostEval:
+def j_ipd(w_l, w_r, phi_vv, q_l, q_r) -> CostEval:
     """Squared wrapped difference between output and input noise phase."""
     _check_filter_sizes(w_l, w_r, q_l.size)
+    ipd_in = input_ipd(phi_vv, q_l, q_r)
     if ipd_in is None:
-        ipd_in = input_ipd(phi_vv, q_l, q_r)
-        if ipd_in is None:
-            raise InvalidInputError("input noise phase undefined for this bin")
+        raise InvalidInputError("input noise phase undefined for this bin")
     term = _PhaseTerm(phi_vv[None], np.array([ipd_in], dtype=float))
     return _first_lane(*term.value_and_gradient(_pair(w_l, w_r)))
 
 
-def j_ic(w_l, w_r, phi_vv, q_l, q_r, ic_in=None) -> CostEval:
+def j_ic(w_l, w_r, phi_vv, q_l, q_r) -> CostEval:
     """Squared modulus of the coherence difference |ic_out - ic_in|^2."""
     _check_filter_sizes(w_l, w_r, q_l.size)
+    ic_in = input_ic(phi_vv, q_l, q_r)
     if ic_in is None:
-        ic_in = input_ic(phi_vv, q_l, q_r)
-        if ic_in is None:
-            raise InvalidInputError("input noise coherence undefined for this bin")
+        raise InvalidInputError("input noise coherence undefined for this bin")
     term = _CoherenceTerm(phi_vv[None], np.array([ic_in], dtype=complex))
     return _first_lane(*term.value_and_gradient(_pair(w_l, w_r)))
 

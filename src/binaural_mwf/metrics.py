@@ -46,7 +46,7 @@ from .spatial_stats import (
     output_cues,
     wrap_angle,
 )
-from .stft import _BLOCK_FRAMES, SpectralTensor, summands
+from .stft import SpectralTensor, blocks, squared_magnitude, summands
 from .wavio import write_csv, write_json
 
 # One-third-octave band centers (Hz) and importance weights of the speech
@@ -90,8 +90,8 @@ def apply_filters(filters: FilterPair, tensor) -> SpectralTensor:
     """Binaural output z_e(t, k) = w_e(k)^H y(:, t, k) as a 2-channel tensor.
 
     ``tensor`` is y, or a tuple such as ``(x, v)`` whose sum is y.  The
-    output is filled ``_BLOCK_FRAMES`` frames at a time, each block from its
-    own sum of the summands, so y is never formed whole.
+    output is filled in ``stft.blocks`` of frames, each block from its own
+    sum of the summands, so y is never formed whole.
     """
     parts = summands(tensor)
     shape = parts[0].data.shape
@@ -102,8 +102,7 @@ def apply_filters(filters: FilterPair, tensor) -> SpectralTensor:
     w_l, w_r = filters.w_l.conj(), filters.w_r.conj()
     out = np.empty((2,) + shape[1:],
                    dtype=np.result_type(w_l, w_r, *(p.data for p in parts)))
-    for first in range(0, shape[1], _BLOCK_FRAMES):
-        block = slice(first, first + _BLOCK_FRAMES)
+    for block in blocks(shape[1]):
         y = parts[0].data[:, block]
         for part in parts[1:]:
             y = y + part.data[:, block]
@@ -122,8 +121,7 @@ class ActivePower(NamedTuple):
 def active_power(data, active) -> ActivePower:
     """The speech-active power of (ears, frames, bins) ``data``; |z|^2 is
     formed once for both sums."""
-    power = np.abs(data[:, np.asarray(active, dtype=bool), :])
-    power **= 2
+    power = squared_magnitude(data[:, np.asarray(active, dtype=bool), :])
     return ActivePower(np.sum(power, axis=(1, 2)), np.sum(power, axis=1))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
-from .stft import _BLOCK_FRAMES, SpectralTensor, StftConfig, analyze
+from .stft import SpectralTensor, StftConfig, analyze, blocks, squared_magnitude
 
 # Head-shadow law: attenuation of the contralateral array in dB with a
 # small frequency-independent diffraction term plus a linear-in-frequency
@@ -345,35 +345,21 @@ def synthetic_speech(duration, sample_rate, seed):
     return 0.9 * sig / peak
 
 
-def _squared_magnitude(data):
-    """|data|^2, squared in place: one real array the size of ``data``."""
-    power = np.abs(data)
-    power **= 2
-    return power
-
-
 def _frame_energy(data):
     """|data|^2 of (M, T, K) ``data`` summed over channels and bins, per frame.
 
-    Filled ``_BLOCK_FRAMES`` frames at a time, so no whole-tensor |data|^2
-    exists.  A trailing one-frame block joins the block before it: numpy
-    sums a lone frame's channels and bins as one run, in another order than
-    within a block, and the bits would differ.
+    Filled in ``stft.blocks`` of frames, so no whole-tensor |data|^2 exists.
     """
-    n_frames = data.shape[1]
-    edges = list(range(0, n_frames, _BLOCK_FRAMES)) + [n_frames]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    energy = np.empty(n_frames, dtype=data.real.dtype)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        np.sum(_squared_magnitude(data[:, lo:hi]), axis=(0, 2), out=energy[lo:hi])
+    energy = np.empty(data.shape[1], dtype=data.real.dtype)
+    for block in blocks(data.shape[1]):
+        np.sum(squared_magnitude(data[:, block]), axis=(0, 2), out=energy[block])
     return energy
 
 
-def _channel_energy(data, channel):
-    """|data|^2 of one channel of (M, T, K) ``data``, summed over frames and
-    bins: numpy sums them as one run, as in a whole-tensor reduction."""
-    return np.sum(_squared_magnitude(data[channel]))
+def _channel_energy(data, channel, frames=slice(None)):
+    """|data|^2 of one channel of (M, T, K) ``data`` summed over ``frames`` and
+    all bins: numpy sums them as one run, as in a whole-tensor reduction."""
+    return np.sum(squared_magnitude(data[channel, frames]))
 
 
 def ideal_vad(clean_speech: SpectralTensor, threshold_db=40.0) -> VadLabels:
@@ -463,9 +449,8 @@ def synthesize_scene(
         worst_ear = "right" if pv_r >= pv_l else "left"
     ref = geometry.ref_right if worst_ear == "right" else geometry.ref_left
 
-    act = vad.active
-    p_speech = np.sum(np.abs(x.data[ref, act, :]) ** 2)
-    p_noise = np.sum(np.abs(v.data[ref, act, :]) ** 2)
+    p_speech = _channel_energy(x.data, ref, vad.active)
+    p_noise = _channel_energy(v.data, ref, vad.active)
     if np.isinf(spec.target_snr_worst_ear):
         gain = 0.0
     else:

@@ -602,16 +602,16 @@ def alpha_sweep(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
                 alphas, solver_cfg: SolverConfig = SolverConfig()):
     """One full solve plus metric evaluation per weighting factor.
 
-    Returns a list of dicts with keys ``SWEEP_COLUMNS``, ordered like the
-    input alphas.
+    Returns a list of dicts with keys ``SWEEP_COLUMNS`` plus the solve's
+    ``nonconverged_fraction``, ordered like the input alphas.
     """
     alphas = list(alphas)
     if not alphas:
         raise InvalidInputError("alpha list must not be empty")
     rows = []
     for alpha in alphas:
-        _, _, report = _probe(spec, phi, selector, scene, solver_cfg, float(alpha))
-        row = {"alpha": float(alpha)}
+        _, solved, report = _probe(spec, phi, selector, scene, solver_cfg, float(alpha))
+        row = {"alpha": float(alpha), "nonconverged_fraction": solved.nonconverged_fraction}
         row.update((col, getattr(report, f)) for col, f in _SWEEP_FIELDS.items())
         rows.append(row)
     return rows

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .scene import VadLabels
-from .stft import StftConfig, summands
+from .stft import StftConfig, blocks, summands
 from .wavio import write_csv
 
 CUE_CUTOFF_HZ = 1500.0
@@ -118,7 +118,7 @@ def covariance_per_bin(tensor, frame_masks):
 
     ``tensor`` is one ``SpectralTensor`` or a tuple of them whose
     element-wise sum is the data (see ``stft.summands``).  The summands are
-    added once per group of ``_GROUP_BINS`` adjacent bins, over all frames;
+    added once per group of adjacent bins (``stft.blocks``), over all frames;
     each mask's estimate of each bin is reduced from a contiguous (M, T)
     copy of that bin's selected frames, so no sum, masked or conjugated copy
     of the whole data exists.
@@ -132,15 +132,14 @@ def covariance_per_bin(tensor, frame_masks):
     if min(counts) < 2:
         raise InvalidInputError("need at least two frames for a covariance estimate")
     covs = [np.empty((bins, m, m), dtype=np.result_type(*parts)) for _ in selections]
-    for first in range(0, bins, _GROUP_BINS):
-        group = slice(first, first + _GROUP_BINS)
+    for group in blocks(bins, _GROUP_BINS):
         block = parts[0][:, :, group]
         for part in parts[1:]:
             block = block + part[:, :, group]
         for frames, cov in zip(selections, covs):
             for j in range(block.shape[2]):
                 a = np.ascontiguousarray(block[:, frames, j])
-                np.einsum("mt,nt->mn", a, a.conj(), out=cov[first + j])
+                np.einsum("mt,nt->mn", a, a.conj(), out=cov[group.start + j])
     covs = [cov / count for cov, count in zip(covs, counts)]
     return tuple(0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1)))) for cov in covs)
 

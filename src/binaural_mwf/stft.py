@@ -6,10 +6,10 @@ synthesis use one taper w: synthesis applies w to each inverse-transformed
 frame, overlap-adds, and normalises by the accumulated w^2 so the round trip
 is exact wherever the overlap-add sum is nonzero.
 
-Both directions work through ``_BLOCK_FRAMES`` frames at a time, so besides
-their input and output they hold only one block of tapered frames: a
-60 s signal needs no frame tensor of its own.  Each frame is transformed by
-itself either way, so the blocks change no value.
+Both directions walk the frames in ``blocks``, the one block walk of the
+closed-form chain, so besides their input and output they hold only one
+block of tapered frames: a 60 s signal needs no frame tensor of its own.
+Each frame is transformed by itself either way, so blocks change no value.
 """
 
 from __future__ import annotations
@@ -24,8 +24,25 @@ from .errors import InvalidInputError, require_finite
 # Relative deviation allowed for the constant-overlap-add check.
 _COLA_TOL = 1e-10
 
-# Frames tapered and transformed per step of analyze and synthesize.
+# Frames per block of a ``blocks`` walk over frames.
 _BLOCK_FRAMES = 64
+
+
+def blocks(count, size=_BLOCK_FRAMES):
+    """Consecutive ``size``-long slices covering ``range(count)`` in order; a
+    trailing lone index joins the slice before it, since numpy reduces a lone
+    frame in another order than a block and a blockwise sum's bits would move."""
+    edges = list(range(0, count, size)) + [count]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def squared_magnitude(data):
+    """|data|^2, squared in place: one real array the size of ``data``."""
+    power = np.abs(data)
+    power **= 2
+    return power
 
 
 def window(name, length):
@@ -161,8 +178,7 @@ def analyze(audio, cfg: StftConfig) -> SpectralTensor:
     w = window(cfg.window, cfg.window_len)
     frames = sliding_window_view(x, cfg.window_len, axis=1)[:, :: cfg.hop, :]
     data = np.empty((x.shape[0], n_frames, cfg.bin_count), dtype=complex)
-    for first in range(0, n_frames, _BLOCK_FRAMES):
-        block = slice(first, first + _BLOCK_FRAMES)
+    for block in blocks(n_frames):
         np.fft.rfft(frames[:, block] * w, n=cfg.fft_size, axis=2, out=data[:, block])
     return SpectralTensor(data, cfg)
 
@@ -184,11 +200,11 @@ def synthesize(spec: SpectralTensor) -> np.ndarray:
     out = np.zeros((n_ch, out_len))
     norm = np.zeros(out_len)
     prod = w * w
-    for first in range(0, n_frames, _BLOCK_FRAMES):
-        frames_t = np.fft.irfft(spec.data[:, first : first + _BLOCK_FRAMES],
+    for block in blocks(n_frames):
+        frames_t = np.fft.irfft(spec.data[:, block],
                                 n=cfg.fft_size, axis=2)[..., : cfg.window_len] * w
         for i in range(frames_t.shape[1]):
-            start = (first + i) * cfg.hop
+            start = (block.start + i) * cfg.hop
             out[:, start : start + cfg.window_len] += frames_t[:, i, :]
             norm[start : start + cfg.window_len] += prod
     covered = norm > 1e-12 * max(norm.max(), 1.0)

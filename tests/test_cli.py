@@ -350,6 +350,18 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(conf), "--out", str(out_b)]) == cli.EXIT_OK
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
+    def test_nonconvergence_exit_code(self, tmp_path, speech_wav, capsys):
+        # one iteration leaves the large-alpha solve's penalized bins
+        # unconverged: exit 3, as process does, with sweep.csv still written
+        out = tmp_path / "out"
+        conf = write_config(
+            tmp_path / "c.conf", speech_wav, out,
+            extra="run.variants = mwf-ic\nrun.alphas = 1, 1e5\nsolver.max_iterations = 1",
+        )
+        assert cli.main(["sweep", "--config", str(conf)]) == cli.EXIT_NONCONVERGED
+        assert "did not converge" in capsys.readouterr().err
+        assert (out / "sweep.csv").is_file()
+
 
 class TestPhasePdf:
     def test_uniform_rho_analytic_column(self, tmp_path):

@@ -110,15 +110,13 @@ class TestJW:
                 sel4.q_l,
                 sel4.q_r,
             )
-        # the penalties validate their filters the same way, with or without
-        # a given input cue
+        # the penalties validate their filters the same way
         phi_vv = random_psd(np.random.default_rng(4), 4)
         short, full = np.ones(3, dtype=complex), np.ones(4, dtype=complex)
-        for term, cue in ((j_ipd, 0.5), (j_ic, 0.5 + 0.1j)):
+        for term in (j_ipd, j_ic):
             for w_l, w_r in ((short, short), (full, short), (short, full)):
-                for given in (None, cue):
-                    with pytest.raises(InvalidInputError):
-                        term(w_l, w_r, phi_vv, sel4.q_l, sel4.q_r, given)
+                with pytest.raises(InvalidInputError):
+                    term(w_l, w_r, phi_vv, sel4.q_l, sel4.q_r)
 
     def test_convexity_along_segments(self, sel4):
         rng = np.random.default_rng(2)
@@ -518,7 +516,7 @@ class TestBinObjective:
             value, grad = base.value, base.gradient
             if cue is not None:
                 term = j_ipd if variant == "mwf-itd" else j_ic
-                pen = term(w_l, w_r, phi_vv, sel.q_l, sel.q_r, cue)
+                pen = term(w_l, w_r, phi_vv, sel.q_l, sel.q_r)
                 value = base.value + alpha * pen.value
                 grad = base.gradient + alpha * pen.gradient
             x = pack_filters(w_l, w_r)

@@ -154,19 +154,24 @@ def one_shot_power(data):
 
 
 class TestBlockedEnergyMatchesOneShotForm:
-    """The VAD's per-frame energy, filled a block of frames at a time, and
-    the worst-ear test's per-microphone noise power equal the frozen
-    whole-tensor reductions bit for bit."""
+    """The VAD's per-frame energy, filled a block of frames at a time, the
+    worst-ear test's per-microphone noise power and the SNR calibration's
+    power over a frame selection equal the frozen whole-tensor reductions
+    bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), shape=SUMMAND_SHAPES)
     def test_bitwise_equal(self, seed, shape):
-        data, _ = summand_pair(np.random.default_rng(seed), shape)
+        rng = np.random.default_rng(seed)
+        data, _ = summand_pair(rng, shape)
         power = one_shot_power(data)
         assert_bitwise(_frame_energy(data), np.sum(power, axis=(0, 2)))
         per_channel = np.sum(power, axis=(1, 2))
+        frames = rng.uniform(size=shape[1]) < rng.uniform()
         for channel in range(shape[0]):
             assert_bitwise(_channel_energy(data, channel), per_channel[channel])
+            assert_bitwise(_channel_energy(data, channel, frames),
+                           np.sum(np.abs(data[channel, frames, :]) ** 2))
 
 
 class TestSceneSynthesis:

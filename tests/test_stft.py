@@ -10,6 +10,7 @@ from binaural_mwf.stft import (
     SpectralTensor,
     StftConfig,
     analyze,
+    blocks,
     synthesize,
     window,
 )
@@ -221,6 +222,23 @@ class TestBlocksMatchOneShotForms:
         data[:, rng.uniform(size=frames) < 0.1] = 0.0
         tensor = SpectralTensor(data, cfg)
         assert_bitwise(synthesize(tensor), one_shot_synthesize(tensor))
+
+
+class TestBlocks:
+    """The one block walk: consecutive slices covering every index once, in
+    order, whose last slice is never a lone index after another slice."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(0, 3000), size=st.integers(2, 200))
+    def test_slices_cover_range_in_order(self, count, size):
+        slices = blocks(count, size)
+        assert all(s.step is None for s in slices)
+        assert [i for s in slices for i in range(s.start, s.stop)] == list(range(count))
+        lengths = [s.stop - s.start for s in slices]
+        assert all(1 <= n <= size for n in lengths[:-1])
+        if count:
+            assert lengths[-1] <= size + 1
+            assert lengths[-1] >= 2 or count == 1
 
 
 class TestWav:
