@@ -313,8 +313,9 @@ def cmd_process(cfg: RunConfig):
             if cal.warning:
                 meta["warning"] = cal.warning
         extra["alphas"][variant] = meta
-        # the enhanced tensor is dropped once synthesized, before the WAV is encoded
-        audio = synthesize(metrics.apply_filters(solved.filters, (scene.x, scene.v)))
+        # filtered one block of frames at a time as the synthesis reads it, so
+        # the enhanced tensor never exists whole
+        audio = synthesize(metrics.FilteredView(solved.filters, (scene.x, scene.v)))
         encoding = "pcm16" if cfg.write_pcm16 else "float32"
         wavio.write_wav(out / f"enhanced_{variant}.wav", audio,
                         cfg.stft.sample_rate, encoding=encoding)

@@ -2,11 +2,12 @@
 
 All component-wise measures use shadow filtering: the filters computed on
 the mixture are applied separately to the clean speech and noise tensors,
-so the speech and noise portions of every output are known exactly.  Only
-one filtered output exists at a time: the speech output is reduced to its
-speech-active power (:func:`active_power`) and dropped before the noise
-output is formed, so an evaluation holds about one two-channel output on
-top of the scene.
+so the speech and noise portions of every output are known exactly.  No
+filtered output exists whole: :func:`active_power` filters only the
+speech-active frames, one ``stft.blocks`` slice at a time, and keeps their
+|z|^2, so an evaluation holds one block of output and one real array of
+the active frames' power on top of the scene.  The enhanced WAV is
+synthesized from a :class:`FilteredView` the same way.
 
 Cue errors compare input cues (reference microphones) with output cues
 (filter pair) on the same directly-estimated coherence matrices:
@@ -86,29 +87,52 @@ class MetricsReport:
         return doc
 
 
-def apply_filters(filters: FilterPair, tensor) -> SpectralTensor:
-    """Binaural output z_e(t, k) = w_e(k)^H y(:, t, k) as a 2-channel tensor.
+class FilteredView:
+    """The binaural output z_e(t, k) = w_e(k)^H y(:, t, k), formed on demand.
 
-    ``tensor`` is y, or a tuple such as ``(x, v)`` whose sum is y.  The
-    output is filled in ``stft.blocks`` of frames, each block from its own
-    sum of the summands, so y is never formed whole.
+    ``tensor`` is y, or a tuple such as ``(x, v)`` whose sum is y.  The view
+    is its own ``data``: ``data[:, frames]`` filters only the frames asked
+    for, from their own sum of the summands, into a fresh (2, frames, bins)
+    array.  A reader that walks the frames in ``stft.blocks`` (this module's
+    reductions, ``stft.synthesize``) so holds one block of the output, and
+    neither y nor the whole output is ever formed.
     """
-    parts = summands(tensor)
-    shape = parts[0].data.shape
-    if filters.w_l.shape[1] != shape[0]:
-        raise InvalidInputError("filter length does not match channel count")
-    if filters.bin_count != shape[2]:
-        raise InvalidInputError("filter bin count does not match tensor")
-    w_l, w_r = filters.w_l.conj(), filters.w_r.conj()
-    out = np.empty((2,) + shape[1:],
-                   dtype=np.result_type(w_l, w_r, *(p.data for p in parts)))
-    for block in blocks(shape[1]):
-        y = parts[0].data[:, block]
-        for part in parts[1:]:
-            y = y + part.data[:, block]
-        np.einsum("km,mtk->tk", w_l, y, out=out[0, block])
-        np.einsum("km,mtk->tk", w_r, y, out=out[1, block])
-    return SpectralTensor(out, parts[0].config)
+
+    def __init__(self, filters: FilterPair, tensor):
+        self._parts = summands(tensor)
+        shape = self._parts[0].data.shape
+        if filters.w_l.shape[1] != shape[0]:
+            raise InvalidInputError("filter length does not match channel count")
+        if filters.bin_count != shape[2]:
+            raise InvalidInputError("filter bin count does not match tensor")
+        self._w = (filters.w_l.conj(), filters.w_r.conj())
+        self.config = self._parts[0].config
+        self.shape = (2,) + shape[1:]
+        self.dtype = np.result_type(*self._w, *(p.data for p in self._parts))
+
+    @property
+    def data(self):
+        return self
+
+    def __getitem__(self, key):
+        _, frames = key  # always [:, frames]
+        y = self._parts[0].data[:, frames]
+        for part in self._parts[1:]:
+            y = y + part.data[:, frames]
+        out = np.empty((2,) + y.shape[1:], dtype=self.dtype)
+        for z, w in zip(out, self._w):
+            np.einsum("km,mtk->tk", w, y, out=z)
+        return out
+
+
+def apply_filters(filters: FilterPair, tensor) -> SpectralTensor:
+    """The whole binaural output of :class:`FilteredView` as a 2-channel
+    tensor, filled one ``stft.blocks`` slice of frames at a time."""
+    view = FilteredView(filters, tensor)
+    out = np.empty(view.shape, dtype=view.dtype)
+    for block in blocks(view.shape[1]):
+        out[:, block] = view.data[:, block]
+    return SpectralTensor(out, view.config)
 
 
 class ActivePower(NamedTuple):
@@ -118,10 +142,20 @@ class ActivePower(NamedTuple):
     per_bin: np.ndarray  # (ears, bins)
 
 
-def active_power(data, active) -> ActivePower:
-    """The speech-active power of (ears, frames, bins) ``data``; |z|^2 is
-    formed once for both sums."""
-    power = squared_magnitude(data[:, np.asarray(active, dtype=bool), :])
+def active_power(data, active, ears=slice(None)) -> ActivePower:
+    """The speech-active power of channels ``ears`` (two of them) of
+    (channels, frames, bins) ``data``: an array or a :class:`FilteredView`.
+
+    The active frames are read one ``stft.blocks`` slice of their indices
+    at a time, and each block's |z|^2 is written into one buffer laid out
+    frames-outermost.  That is the layout numpy gives ``data[:, active, :]``,
+    and the sums add in memory order, so their bits are those of the
+    one-shot form; a channels-outermost buffer would change them.
+    """
+    frames = np.arange(data.shape[1])[np.asarray(active, dtype=bool)]
+    power = np.empty((frames.size, 2, data.shape[2])).transpose(1, 0, 2)
+    for block in blocks(frames.size):
+        squared_magnitude(data[:, frames[block]][ears], out=power[:, block])
     return ActivePower(np.sum(power, axis=(1, 2)), np.sum(power, axis=1))
 
 
@@ -242,8 +276,8 @@ def _reference_terms(scene, selector: Selector):
     def compute():
         refs = [selector.index_left, selector.index_right]
         active = scene.vad.active
-        p_x = active_power(scene.x.data[refs], active)
-        p_v = active_power(scene.v.data[refs], active)
+        p_x = active_power(scene.x.data, active, refs)
+        p_v = active_power(scene.v.data, active, refs)
         return snr_db(p_x, p_v), band_snrs_db(p_x, p_v, scene.x.config.freqs)
 
     return _scene_term(scene, ("reference",) + _reference_key(selector), compute)
@@ -279,12 +313,10 @@ def evaluate_filters(filters: FilterPair, scene, selector: Selector,
     """Full objective report for one filter set on one scene."""
     if scene.x.data.shape != scene.v.data.shape:
         raise InvalidInputError("speech and noise tensors have different shapes")
-    # the scene's own terms first, so their temporaries are gone before the
-    # filtered outputs exist; each output is dropped once reduced
     _, bands_in = _reference_terms(scene, selector)
     active = scene.vad.active
-    p_x = active_power(apply_filters(filters, scene.x).data, active)
-    p_v = active_power(apply_filters(filters, scene.v).data, active)
+    p_x = active_power(FilteredView(filters, scene.x).data, active)
+    p_v = active_power(FilteredView(filters, scene.v).data, active)
 
     snr_l, snr_r = snr_db(p_x, p_v)
     disnr_l, disnr_r = isnr_gain(band_snrs_db(p_x, p_v, scene.x.config.freqs),

@@ -428,11 +428,13 @@ def synthesize_scene(
     noise_spec = np.fft.rfft(noise)
     f_dense = np.fft.rfftfreq(n, 1.0 / cfg.sample_rate)
     noise = np.fft.irfft(noise_spec * _lowpass_mask(f_dense, spec.noise_cutoff), n=n)
+    del noise_spec, f_dense
     v_t = steer(noise, spec.noise_azimuth, spec.noise_distance, noise_ir)
+    del noise
     floor_scale = 10.0 ** (spec.sensor_noise_db / 20.0) * np.sqrt(
         np.mean(v_t**2)
     )
-    v_t = v_t + floor_scale * rng.standard_normal(v_t.shape)
+    v_t += floor_scale * rng.standard_normal(v_t.shape)
     v = analyze(v_t, cfg)
     del v_t
     vad = ideal_vad(x)

@@ -38,9 +38,10 @@ def blocks(count, size=_BLOCK_FRAMES):
     return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def squared_magnitude(data):
-    """|data|^2, squared in place: one real array the size of ``data``."""
-    power = np.abs(data)
+def squared_magnitude(data, out=None):
+    """|data|^2, squared in place: one real array the size of ``data``, or
+    ``out`` when given."""
+    power = np.abs(data, out=out)
     power **= 2
     return power
 
@@ -183,30 +184,42 @@ def analyze(audio, cfg: StftConfig) -> SpectralTensor:
     return SpectralTensor(data, cfg)
 
 
-def synthesize(spec: SpectralTensor) -> np.ndarray:
+def synthesize(spec) -> np.ndarray:
     """Weighted overlap-add reconstruction to (channels, samples).
 
     Output length is ``(frames - 1) * hop + window_len``.  Samples whose
     overlap-add window sum is (numerically) zero are left at zero; the
     round-trip identity holds everywhere else, in particular on all interior
     samples at least one window length away from either edge.
+
+    ``spec`` is read only through ``config``, ``data.shape`` and
+    ``data[:, block]`` for each of the ``blocks`` in turn, so it may be a
+    view that forms each block of frames when asked (a filtered output, say)
+    and is never whole.  The frames of a block are overlap-added by hop
+    phase: with R = window_len / hop, segment r of every frame lands on
+    hop row frame + r, for r from R - 1 down to 0, so each sample receives
+    its terms in ascending frame order, as a frame-by-frame sum would.
     """
     cfg = spec.config
-    if spec.frame_count == 0:
+    n_ch, n_frames, _ = spec.data.shape
+    if n_frames == 0:
         raise InvalidInputError("tensor has no frames")
     w = window(cfg.window, cfg.window_len)
-    n_ch, n_frames, _ = spec.data.shape
-    out_len = (n_frames - 1) * cfg.hop + cfg.window_len
-    out = np.zeros((n_ch, out_len))
-    norm = np.zeros(out_len)
-    prod = w * w
+    phases = cfg.window_len // cfg.hop
+    rows = n_frames - 1 + phases
+    out = np.zeros((n_ch, rows, cfg.hop))
+    norm = np.zeros((rows, cfg.hop))
+    prod = (w * w).reshape(phases, cfg.hop)
+    for r in reversed(range(phases)):
+        norm[r : r + n_frames] += prod[r]
     for block in blocks(n_frames):
         frames_t = np.fft.irfft(spec.data[:, block],
                                 n=cfg.fft_size, axis=2)[..., : cfg.window_len] * w
-        for i in range(frames_t.shape[1]):
-            start = (block.start + i) * cfg.hop
-            out[:, start : start + cfg.window_len] += frames_t[:, i, :]
-            norm[start : start + cfg.window_len] += prod
+        segments = frames_t.reshape(n_ch, -1, phases, cfg.hop)
+        for r in reversed(range(phases)):
+            out[:, block.start + r : block.stop + r] += segments[:, :, r]
+    out = out.reshape(n_ch, -1)
+    norm = norm.reshape(-1)
     covered = norm > 1e-12 * max(norm.max(), 1.0)
     np.divide(out, norm, out=out, where=covered)
     out[:, ~covered] = 0.0

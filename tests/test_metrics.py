@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from binaural_mwf import InvalidInputError
 from binaural_mwf.costs import FilterPair
 from binaural_mwf.metrics import (
+    FilteredView,
     MetricsReport,
     SII_BAND_CENTERS,
     SII_BAND_WEIGHTS,
@@ -35,7 +36,7 @@ from binaural_mwf.spatial_stats import (
     input_cues,
     output_cues,
 )
-from binaural_mwf.stft import SpectralTensor, StftConfig
+from binaural_mwf.stft import SpectralTensor, StftConfig, synthesize
 
 from conftest import (
     SUMMAND_CONFIGS,
@@ -369,6 +370,72 @@ class TestSummandFilteringMatchesOneShotForm:
         got = apply_filters(filters, (SpectralTensor(x, cfg), SpectralTensor(v, cfg)))
         want = one_shot_apply_filters(filters, SpectralTensor(x + v, cfg))
         assert_bitwise(got.data, want.data)
+
+
+class TestActivePowerAcrossBlocks:
+    """The blocked active-frame power, through ``evaluate_filters`` and
+    ``input_snr_db``, equals the frozen one-shot forms bit for bit at
+    speech-active frame counts around one and two blocks, where the layout
+    of its power buffer fixes the order of the sums."""
+
+    CFG = StftConfig()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        mics=st.integers(2, 6),
+        active_count=st.sampled_from([1, 63, 64, 65, 129, 200]),
+        silent_count=st.integers(2, 40),
+        zero_fraction=st.sampled_from([0.0, 0.3, 0.9]),
+    )
+    def test_bitwise_equal(self, seed, mics, active_count, silent_count, zero_fraction):
+        rng = np.random.default_rng(seed)
+        frames = active_count + silent_count
+        active = np.zeros(frames, dtype=bool)
+        active[rng.choice(frames, active_count, replace=False)] = True
+        scene = dataclasses.replace(random_scene(rng, self.CFG, mics, frames, zero_fraction),
+                                    vad=VadLabels(active))
+        k, freqs = self.CFG.bin_count, self.CFG.freqs
+        filters = FilterPair(w_l=complex_white(rng, (k, mics)),
+                             w_r=complex_white(rng, (k, mics)) * 10.0 ** rng.uniform(-3, 3))
+        selector = Selector(q_l=np.eye(mics)[0], q_r=np.eye(mics)[mics - 1])
+        z_x = one_shot_apply_filters(filters, scene.x)
+        z_v = one_shot_apply_filters(filters, scene.v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_x = active_power(FilteredView(filters, scene.x).data, active)
+            power = np.abs(z_x.data[:, active, :]) ** 2
+            assert_bitwise(p_x.total, np.sum(power, axis=(1, 2)))
+            assert_bitwise(p_x.per_bin, np.sum(power, axis=1))
+
+            snr_want = one_shot_snr_db(z_x, z_v, active)
+            bands_want = one_shot_band_snrs_db(z_x, z_v, active, freqs)
+            ref_snr_want, ref_bands_want = frozen_reference_terms(scene, selector)
+            assert_bitwise(input_snr_db(scene, selector), ref_snr_want)
+            assert_bitwise(_reference_terms(scene, selector)[1], ref_bands_want)
+            # a report needs two speech-active frames
+            if active_count >= 2:
+                report = evaluate_filters(filters, scene, selector)
+                assert_bitwise([report.snr_l, report.snr_r], snr_want)
+                assert_bitwise([report.disnr_l, report.disnr_r],
+                               isnr_gain(bands_want, ref_bands_want))
+
+
+class TestBlockFedSynthesis:
+    """Synthesizing the enhanced output from a ``FilteredView``, one block
+    of frames filtered at a time, equals synthesizing the stored output."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), shape=SUMMAND_SHAPES)
+    def test_bitwise_equal(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        mics, _, bins = shape
+        cfg = SUMMAND_CONFIGS[bins]
+        x, v = summand_pair(rng, shape)
+        filters = FilterPair(w_l=complex_white(rng, (bins, mics)),
+                             w_r=complex_white(rng, (bins, mics)))
+        summed = (SpectralTensor(x, cfg), SpectralTensor(v, cfg))
+        assert_bitwise(synthesize(FilteredView(filters, summed)),
+                       synthesize(apply_filters(filters, summed)))
 
 
 def frozen_input_noise_cues(scene, selector, cue_cutoff):

@@ -224,6 +224,38 @@ class TestBlocksMatchOneShotForms:
         assert_bitwise(synthesize(tensor), one_shot_synthesize(tensor))
 
 
+class TestOverlapAddByHopPhase:
+    """The hop-phase overlap-add equals the frozen frame-by-frame loop of
+    ``one_shot_synthesize`` bit for bit, sign bits included, at every tested
+    overlap R = window_len / hop and frame counts around one and two
+    blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        channels=st.integers(1, 3),
+        frames=st.sampled_from([1, 2, 63, 64, 65, 129]),
+        overlap=st.sampled_from([1, 2, 4, 8]),
+        window_len=st.sampled_from([16, 128]),
+        padding=st.sampled_from([1, 2]),
+        hann=st.booleans(),
+    )
+    def test_bitwise_equal(self, seed, channels, frames, overlap, window_len, padding,
+                           hann):
+        # the squared sqrt-Hann taper overlap-adds to a constant only for R >= 2
+        name = "sqrt_hann" if hann and overlap > 1 else "rect"
+        cfg = StftConfig(fft_size=padding * window_len, window_len=window_len,
+                         hop=window_len // overlap, window=name)
+        rng = np.random.default_rng(seed)
+        shape = (channels, frames, cfg.bin_count)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data *= 10.0 ** rng.uniform(-3, 3, size=(channels, 1, 1))
+        data[rng.uniform(size=shape) < 0.2] = 0.0
+        data[:, rng.uniform(size=frames) < 0.1] = complex(-0.0, -0.0)
+        tensor = SpectralTensor(data, cfg)
+        assert_bitwise(synthesize(tensor), one_shot_synthesize(tensor))
+
+
 class TestBlocks:
     """The one block walk: consecutive slices covering every index once, in
     order, whose last slice is never a lone index after another slice."""
