@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
-from .stft import SpectralTensor, StftConfig, analyze, blocks, squared_magnitude
+from .stft import SpectralTensor, StftConfig, analyze, blocks, in_parallel, squared_magnitude
 
 # Head-shadow law: attenuation of the contralateral array in dB with a
 # small frequency-independent diffraction term plus a linear-in-frequency
@@ -55,6 +55,11 @@ _EARLY_REFLECTIONS = (
 # Zero padding per side of a steered signal, in samples; a measured response
 # gets at least its own length.
 _PARAMETRIC_PAD = 2048
+
+# Dense-grid bins per steering task.  Each worker holds a chunk's response
+# temporaries; smaller chunks spend more of a task's time holding the GIL
+# between numpy calls.
+_STEER_BINS = 2048
 
 
 @dataclass(frozen=True)
@@ -274,18 +279,50 @@ def steered_tensor(steering: SteeringVectorSet, source: np.ndarray, cfg: StftCon
 def _filter_multichannel(signal, response_fn, pad):
     """Apply per-channel LTI responses to a 1-D signal via a dense FFT.
 
-    ``response_fn(n_fft)`` returns the (M, n_fft//2+1) complex response on
-    the dense rfft grid.  ``pad`` zeros on both sides absorb the filter
-    tails, so no circular wrap-around reaches the returned samples as long
-    as neither tail is longer than ``pad``.
+    ``response_fn(n_fft)`` returns a callable that gives the (M, len) complex
+    response on a slice of the dense rfft grid's n_fft//2+1 bins.  ``pad``
+    zeros on both sides absorb the filter tails, so no circular wrap-around
+    reaches the returned samples as long as neither tail is longer than
+    ``pad``.  Tasks on the ``stft`` worker pool write the product of
+    response and spectrum a chunk of ``_STEER_BINS`` bins at a time, then
+    transform it back one microphone row at a time, so the parametric
+    response is never formed whole.  Every value is that of the whole-grid
+    product and of one inverse FFT over all rows.
     """
     n = signal.size
-    padded = np.pad(signal, (pad, pad))
-    n_fft = padded.size
-    spec = np.fft.rfft(padded)
-    out_spec = response_fn(n_fft) * spec[np.newaxis, :]
-    out = np.fft.irfft(out_spec, n=n_fft, axis=1)
+    spec = np.fft.rfft(np.pad(signal, (pad, pad)))
+    n_fft = n + 2 * pad
+    response = response_fn(n_fft)
+    rows = response(slice(0, 0)).shape[0]
+    out = np.empty((rows, n_fft))
+    out_spec = np.empty((rows, spec.size), dtype=complex)
+
+    def multiply(chunk):
+        np.multiply(response(chunk), spec[chunk], out=out_spec[:, chunk])
+
+    def invert(row):
+        np.fft.irfft(out_spec[row], n=n_fft, out=out[row])
+
+    in_parallel(multiply, blocks(spec.size, _STEER_BINS))
+    in_parallel(invert, range(rows))
+    del out_spec
     return out[:, pad : pad + n]
+
+
+def _parametric_response(geometry, azimuth, distance, spec, sample_rate):
+    """``response_fn`` of ``scene_response`` on the dense grid at ``sample_rate``."""
+    def response_fn(n_fft):
+        freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+        return lambda chunk: scene_response(geometry, azimuth, distance, spec, freqs[chunk])
+    return response_fn
+
+
+def _measured_response(ir):
+    """``response_fn`` of an (M, taps) impulse response: its rfft on the dense grid."""
+    def response_fn(n_fft):
+        dense = np.fft.rfft(ir, n=n_fft)
+        return lambda chunk: dense[:, chunk]
+    return response_fn
 
 
 def _lowpass_mask(freqs, cutoff):
@@ -412,11 +449,10 @@ def synthesize_scene(
     def steer(signal, azimuth, distance, ir):
         """``signal`` at every microphone, through ``ir`` or the parametric path."""
         if ir is None:
-            return _filter_multichannel(signal, lambda n_fft: scene_response(
-                geometry, azimuth, distance, spec,
-                np.fft.rfftfreq(n_fft, 1.0 / cfg.sample_rate)), _PARAMETRIC_PAD)
+            return _filter_multichannel(signal, _parametric_response(
+                geometry, azimuth, distance, spec, cfg.sample_rate), _PARAMETRIC_PAD)
         ir = np.atleast_2d(ir)
-        return _filter_multichannel(signal, lambda n_fft: np.fft.rfft(ir, n=n_fft),
+        return _filter_multichannel(signal, _measured_response(ir),
                                     max(_PARAMETRIC_PAD, ir.shape[1]))
 
     # each steered signal is analyzed, and dropped, as soon as it exists

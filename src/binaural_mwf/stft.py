@@ -10,10 +10,21 @@ Both directions walk the frames in ``blocks``, the one block walk of the
 closed-form chain, so besides their input and output they hold only one
 block of tapered frames: a 60 s signal needs no frame tensor of its own.
 Each frame is transformed by itself either way, so blocks change no value.
+
+A walk whose steps each write their own slice of an array the caller
+allocated, and sum nothing across a step, may run its steps on the module's
+worker pool through ``in_parallel``: ``analyze`` gives each worker one
+contiguous run of its blocks, and the scene's dense steering one bin chunk or
+one microphone row per task.  No value depends on which thread computes it,
+so the bits are those of the serial walk whatever the worker count.  The
+pool has one thread per CPU the process may run on; a function the tracer
+wraps (``analyze`` itself, say) is never called from a worker.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,22 @@ _COLA_TOL = 1e-10
 
 # Frames per block of a ``blocks`` walk over frames.
 _BLOCK_FRAMES = 64
+
+# One worker per CPU in the process's affinity mask, where the OS has one;
+# the threads start on first use, not on import.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="binaural-mwf")
+
+
+def in_parallel(fn, items):
+    """Call ``fn`` on each of ``items`` on the worker pool and return once
+    every call is done, raising the first failure in ``items`` order.  ``fn``
+    must not call ``in_parallel`` itself."""
+    futures = [_POOL.submit(fn, item) for item in items]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def blocks(count, size=_BLOCK_FRAMES):
@@ -173,14 +200,22 @@ def analyze(audio, cfg: StftConfig) -> SpectralTensor:
 
     Frame ``t`` covers samples ``[t*hop, t*hop + window_len)``; each frame is
     tapered, zero-padded to ``fft_size`` and transformed with a real FFT.
+    The ``blocks`` walk is cut into one contiguous run per worker, and each
+    worker transforms its run block by block.
     """
     x = _as_channel_matrix(audio)
     n_frames = cfg.frame_count(x.shape[1])
     w = window(cfg.window, cfg.window_len)
     frames = sliding_window_view(x, cfg.window_len, axis=1)[:, :: cfg.hop, :]
     data = np.empty((x.shape[0], n_frames, cfg.bin_count), dtype=complex)
-    for block in blocks(n_frames):
-        np.fft.rfft(frames[:, block] * w, n=cfg.fft_size, axis=2, out=data[:, block])
+    walk = blocks(n_frames)
+
+    def transform(run):
+        for block in run:
+            np.fft.rfft(frames[:, block] * w, n=cfg.fft_size, axis=2, out=data[:, block])
+
+    cuts = [len(walk) * i // _WORKERS for i in range(_WORKERS + 1)]
+    in_parallel(transform, [walk[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
     return SpectralTensor(data, cfg)
 
 

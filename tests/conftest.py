@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -92,6 +95,15 @@ def bins_innermost(mats):
     order ``output_cues`` sums in: each bin's matrix is a strided view that
     numpy's matmul multiplies without BLAS."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(mats, 0, -1)), -1, 0)
+
+
+@contextmanager
+def pool_of(workers):
+    """``stft``'s worker pool swapped for one of ``workers`` threads."""
+    with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stft, "_WORKERS", workers)
+        patch.setattr(stft, "_POOL", pool)
+        yield
 
 
 def assert_bitwise(got, want):

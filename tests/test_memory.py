@@ -16,9 +16,18 @@ import numpy as np
 import pytest
 
 from binaural_mwf.metrics import FilteredView, apply_filters, evaluate_filters
-from binaural_mwf.scene import SceneSpec, synthesize_scene
+from binaural_mwf.scene import (
+    _PARAMETRIC_PAD,
+    ArrayGeometry,
+    SceneSpec,
+    _filter_multichannel,
+    _parametric_response,
+    synthesize_scene,
+)
 from binaural_mwf.spatial_stats import covariance_per_bin, estimate_coherence
 from binaural_mwf.stft import SpectralTensor, StftConfig, synthesize
+
+from conftest import pool_of
 
 
 def transient(fn, *args, **kwargs):
@@ -56,6 +65,20 @@ def test_scene_holds_two_tensors(speech, geometry, cfg, scene30):
     spec = SceneSpec(noise_azimuth=30.0, seed=11)
     used = transient(synthesize_scene, speech, spec, geometry, cfg)
     assert used < 2.55 * scene30.x.data.nbytes
+
+
+def test_steering_forms_no_whole_response(speech):
+    # relative to the (M, n_fft) real output: the output, the product
+    # spectrum (1.0 each), the input spectrum, and per worker one chunk's
+    # response temporaries or one row of inverse-FFT scratch: 2.85 at two
+    # workers; a whole (M, bins) response costs 1.0 more (the whole-grid
+    # form read 4.96)
+    geometry = ArrayGeometry()
+    response_fn = _parametric_response(geometry, 30.0, 3.0, SceneSpec(), 16000.0)
+    out_bytes = geometry.total_mics * (speech.size + 2 * _PARAMETRIC_PAD) * 8
+    with pool_of(2):
+        used = transient(_filter_multichannel, speech, response_fn, _PARAMETRIC_PAD)
+    assert used < 3.2 * out_bytes
 
 
 def test_coherence_forms_the_mixture_a_group_of_bins_at_a_time(scene30):

@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 
 from binaural_mwf import InvalidInputError
 from binaural_mwf.scene import (
+    _STEER_BINS,
     _channel_energy,
+    _filter_multichannel,
     _frame_energy,
+    _measured_response,
+    _parametric_response,
     ArrayGeometry,
     SceneSpec,
     ideal_vad,
@@ -19,7 +23,13 @@ from binaural_mwf.scene import (
 from binaural_mwf.spatial_stats import Selector, wrap_angle
 from binaural_mwf.stft import analyze
 
-from conftest import SUMMAND_SHAPES, assert_bitwise, identity_filters, summand_pair
+from conftest import (
+    SUMMAND_SHAPES,
+    assert_bitwise,
+    identity_filters,
+    pool_of,
+    summand_pair,
+)
 
 
 class TestSteering:
@@ -172,6 +182,80 @@ class TestBlockedEnergyMatchesOneShotForm:
             assert_bitwise(_channel_energy(data, channel), per_channel[channel])
             assert_bitwise(_channel_energy(data, channel, frames),
                            np.sum(np.abs(data[channel, frames, :]) ** 2))
+
+
+def one_shot_filter(signal, response, pad):
+    """Frozen dense filtering: the whole (M, bins) ``response(n_fft)`` times
+    the spectrum, then one inverse FFT over all rows."""
+    padded = np.pad(signal, (pad, pad))
+    n_fft = padded.size
+    out_spec = response(n_fft) * np.fft.rfft(padded)[np.newaxis, :]
+    return np.fft.irfft(out_spec, n=n_fft, axis=1)[:, pad : pad + signal.size]
+
+
+class TestSteeringOnThePool:
+    """The dense steering, a bin chunk and a microphone row per pool task,
+    equals the frozen whole-grid form bit for bit, sign bits included, on
+    the parametric and the measured-response paths, at 1, 2 and 3 workers
+    and on dense grids of fewer bins than a chunk, whole chunks, a partial
+    last chunk and a lone trailing bin."""
+
+    # dense grid sizes, in bins
+    GRIDS = st.sampled_from([517, _STEER_BINS, _STEER_BINS + 1, _STEER_BINS + 2,
+                             2 * _STEER_BINS, 2 * _STEER_BINS + 1, 2 * _STEER_BINS + 517])
+
+    @staticmethod
+    def signal(rng, bins, pad):
+        """A signal whose padded dense grid has ``bins`` bins."""
+        n = 2 * (bins - 1) - 2 * pad + int(rng.integers(0, 2))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        x[rng.uniform(size=n) < 0.1] = -0.0
+        return x
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        workers=st.sampled_from([1, 2, 3]),
+        bins=GRIDS,
+        mics_per_ear=st.sampled_from([1, 3]),
+        azimuth=st.floats(-90.0, 90.0),
+        reflections=st.booleans(),
+    )
+    def test_parametric_bitwise_equal(self, seed, workers, bins, mics_per_ear, azimuth,
+                                      reflections):
+        rng = np.random.default_rng(seed)
+        pad = 64
+        x = self.signal(rng, bins, pad)
+        geometry = ArrayGeometry(mics_per_ear=mics_per_ear)
+        spec = SceneSpec(reflection_gain_db=-16.0 if reflections else -np.inf)
+
+        def whole(n_fft):
+            freqs = np.fft.rfftfreq(n_fft, 1.0 / 16000.0)
+            return scene_response(geometry, azimuth, 2.0, spec, freqs)
+
+        response_fn = _parametric_response(geometry, azimuth, 2.0, spec, 16000.0)
+        with pool_of(workers):
+            got = _filter_multichannel(x, response_fn, pad)
+        assert_bitwise(got, one_shot_filter(x, whole, pad))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        workers=st.sampled_from([1, 2, 3]),
+        bins=GRIDS,
+        mics=st.sampled_from([1, 2, 6]),
+        taps=st.integers(1, 200),
+    )
+    def test_measured_bitwise_equal(self, seed, workers, bins, mics, taps):
+        rng = np.random.default_rng(seed)
+        pad = 256
+        x = self.signal(rng, bins, pad)
+        ir = rng.standard_normal((mics, taps))
+        ir[rng.uniform(size=ir.shape) < 0.2] = -0.0
+
+        with pool_of(workers):
+            got = _filter_multichannel(x, _measured_response(ir), pad)
+        assert_bitwise(got, one_shot_filter(x, lambda n_fft: np.fft.rfft(ir, n=n_fft), pad))
 
 
 class TestSceneSynthesis:

@@ -16,6 +16,8 @@ from binaural_mwf.stft import (
 )
 from binaural_mwf.wavio import read_wav, write_wav
 
+from conftest import pool_of
+
 
 def naive_dft(frame, fft_size):
     """Independent O(N^2) DFT oracle."""
@@ -254,6 +256,31 @@ class TestOverlapAddByHopPhase:
         data[:, rng.uniform(size=frames) < 0.1] = complex(-0.0, -0.0)
         tensor = SpectralTensor(data, cfg)
         assert_bitwise(synthesize(tensor), one_shot_synthesize(tensor))
+
+
+class TestAnalysisOnThePool:
+    """Analysis with its blocks cut into one run per worker equals the frozen
+    whole-signal form bit for bit, sign bits included, at 1, 2 and 3 workers
+    and frame counts from fewer blocks than workers to over two blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        workers=st.sampled_from([1, 2, 3]),
+        channels=st.sampled_from([1, 2, 6]),
+        frames=st.sampled_from([1, 2, 63, 64, 65, 129]),
+        tail=st.integers(0, 63),
+    )
+    def test_bitwise_equal(self, seed, workers, channels, frames, tail):
+        cfg = StftConfig()
+        rng = np.random.default_rng(seed)
+        n = (frames - 1) * cfg.hop + cfg.window_len + tail
+        x = rng.standard_normal((channels, n)) * 10.0 ** rng.uniform(-3, 3, (channels, 1))
+        x[:, rng.uniform(size=n) < 0.1] = -0.0
+        with pool_of(workers):
+            spec = analyze(x, cfg)
+        assert spec.frame_count == frames
+        assert_bitwise(spec.data, one_shot_analyze(x, cfg))
 
 
 class TestBlocks:
