@@ -118,25 +118,3 @@ def sample_ratio_phase(params: RatioPhaseParams, n, seed):
     """Monte-Carlo samples of angle(x / y)."""
     x, y = sample_ratio_pairs(params, n, seed)
     return np.angle(x * np.conj(y))
-
-
-def circular_variance(angles):
-    """1 - |mean resultant|; 0 for concentrated, ~1 for uniform phases."""
-    return float(1.0 - np.abs(np.mean(np.exp(1j * np.asarray(angles)))))
-
-
-def phase_variance_curve(magnitudes, n, seed):
-    """Circular variance of the sampled ratio phase per |rho|.
-
-    Reproduces the dispersion law: variance grows as the coherence
-    magnitude shrinks.  The variance does not depend on the angle of rho,
-    which is fixed at pi/4.  Returns a list of (|rho|, circular variance).
-    """
-    rows = []
-    for i, mag in enumerate(magnitudes):
-        if not 0.0 <= mag < 1.0:
-            raise InvalidInputError("|rho| values must lie in [0, 1)")
-        params = RatioPhaseParams(rho=mag * np.exp(1j * np.pi / 4))
-        samples = sample_ratio_phase(params, n, seed + i)
-        rows.append((float(mag), circular_variance(samples)))
-    return rows

@@ -276,24 +276,22 @@ def steered_tensor(steering: SteeringVectorSet, source: np.ndarray, cfg: StftCon
     return SpectralTensor(data, cfg)
 
 
-def _filter_multichannel(signal, response_fn, pad):
-    """Apply per-channel LTI responses to a 1-D signal via a dense FFT.
+def _filter_multichannel(signal, response, rows, pad):
+    """Apply ``rows`` LTI responses to a 1-D signal via a dense FFT.
 
-    ``response_fn(n_fft)`` returns a callable that gives the (M, len) complex
-    response on a slice of the dense rfft grid's n_fft//2+1 bins.  ``pad``
-    zeros on both sides absorb the filter tails, so no circular wrap-around
-    reaches the returned samples as long as neither tail is longer than
-    ``pad``.  Tasks on the ``stft`` worker pool write the product of
-    response and spectrum a chunk of ``_STEER_BINS`` bins at a time, then
-    transform it back one microphone row at a time, so the parametric
-    response is never formed whole.  Every value is that of the whole-grid
-    product and of one inverse FFT over all rows.
+    ``response(chunk)`` gives the (rows, len) complex response on a slice of
+    the n_fft//2+1 bins of the dense rfft grid, n_fft = signal.size + 2*pad.
+    ``pad`` zeros on both sides absorb the filter tails, so no circular
+    wrap-around reaches the returned samples as long as neither tail is
+    longer than ``pad``.  On the ``stft`` worker pool the product of
+    response and spectrum is written a chunk of ``_STEER_BINS`` bins at a
+    time, then transformed back one microphone row at a time, so the
+    parametric response is never formed whole.  Every value is that of the
+    whole-grid product and of one inverse FFT over all rows.
     """
     n = signal.size
     spec = np.fft.rfft(np.pad(signal, (pad, pad)))
     n_fft = n + 2 * pad
-    response = response_fn(n_fft)
-    rows = response(slice(0, 0)).shape[0]
     out = np.empty((rows, n_fft))
     out_spec = np.empty((rows, spec.size), dtype=complex)
 
@@ -307,22 +305,6 @@ def _filter_multichannel(signal, response_fn, pad):
     in_parallel(invert, range(rows))
     del out_spec
     return out[:, pad : pad + n]
-
-
-def _parametric_response(geometry, azimuth, distance, spec, sample_rate):
-    """``response_fn`` of ``scene_response`` on the dense grid at ``sample_rate``."""
-    def response_fn(n_fft):
-        freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
-        return lambda chunk: scene_response(geometry, azimuth, distance, spec, freqs[chunk])
-    return response_fn
-
-
-def _measured_response(ir):
-    """``response_fn`` of an (M, taps) impulse response: its rfft on the dense grid."""
-    def response_fn(n_fft):
-        dense = np.fft.rfft(ir, n=n_fft)
-        return lambda chunk: dense[:, chunk]
-    return response_fn
 
 
 def _lowpass_mask(freqs, cutoff):
@@ -447,13 +429,18 @@ def synthesize_scene(
         raise InvalidInputError("noise_cutoff must be below the Nyquist frequency")
 
     def steer(signal, azimuth, distance, ir):
-        """``signal`` at every microphone, through ``ir`` or the parametric path."""
+        """``signal`` at every microphone, through ``ir`` or the parametric
+        response, either given on slices of the padded signal's dense grid."""
         if ir is None:
-            return _filter_multichannel(signal, _parametric_response(
-                geometry, azimuth, distance, spec, cfg.sample_rate), _PARAMETRIC_PAD)
+            freqs = np.fft.rfftfreq(signal.size + 2 * _PARAMETRIC_PAD, 1.0 / cfg.sample_rate)
+            return _filter_multichannel(
+                signal, lambda chunk: scene_response(geometry, azimuth, distance, spec,
+                                                     freqs[chunk]),
+                geometry.total_mics, _PARAMETRIC_PAD)
         ir = np.atleast_2d(ir)
-        return _filter_multichannel(signal, _measured_response(ir),
-                                    max(_PARAMETRIC_PAD, ir.shape[1]))
+        pad = max(_PARAMETRIC_PAD, ir.shape[1])
+        dense = np.fft.rfft(ir, n=signal.size + 2 * pad)
+        return _filter_multichannel(signal, lambda chunk: dense[:, chunk], ir.shape[0], pad)
 
     # each steered signal is analyzed, and dropped, as soon as it exists
     n = speech.size
@@ -470,7 +457,10 @@ def synthesize_scene(
     floor_scale = 10.0 ** (spec.sensor_noise_db / 20.0) * np.sqrt(
         np.mean(v_t**2)
     )
-    v_t += floor_scale * rng.standard_normal(v_t.shape)
+    floor = rng.standard_normal(v_t.shape)
+    floor *= floor_scale
+    v_t += floor
+    del floor
     v = analyze(v_t, cfg)
     del v_t
     vad = ideal_vad(x)

@@ -13,9 +13,10 @@ Each frame is transformed by itself either way, so blocks change no value.
 
 A walk whose steps each write their own slice of an array the caller
 allocated, and sum nothing across a step, may run its steps on the module's
-worker pool through ``in_parallel``: ``analyze`` gives each worker one
-contiguous run of its blocks, and the scene's dense steering one bin chunk or
-one microphone row per task.  No value depends on which thread computes it,
+worker pool through ``in_parallel``, which holds the one scheduling rule:
+each worker takes one contiguous run of the steps and walks it in order.
+``analyze`` passes its blocks, and the scene's dense steering its bin chunks
+and then its microphone rows.  No value depends on which thread computes it,
 so the bits are those of the serial walk whatever the worker count.  The
 pool has one thread per CPU the process may run on; a function the tracer
 wraps (``analyze`` itself, say) is never called from a worker.
@@ -46,10 +47,18 @@ _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="binaural-mwf")
 
 
 def in_parallel(fn, items):
-    """Call ``fn`` on each of ``items`` on the worker pool and return once
-    every call is done, raising the first failure in ``items`` order.  ``fn``
-    must not call ``in_parallel`` itself."""
-    futures = [_POOL.submit(fn, item) for item in items]
+    """Call ``fn`` on each of ``items`` on the worker pool, each worker taking
+    one contiguous run of ``items`` in order, and return once every run is
+    done, raising the first failure in ``items`` order.  ``fn`` must not call
+    ``in_parallel`` itself."""
+
+    def run(part):
+        for item in part:
+            fn(item)
+
+    cuts = [len(items) * i // _WORKERS for i in range(_WORKERS + 1)]
+    futures = [_POOL.submit(run, items[lo:hi])
+               for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
     wait(futures)
     for future in futures:
         future.result()
@@ -149,10 +158,6 @@ class SpectralTensor:
             )
 
     @property
-    def channel_count(self):
-        return self.data.shape[0]
-
-    @property
     def frame_count(self):
         return self.data.shape[1]
 
@@ -199,23 +204,19 @@ def analyze(audio, cfg: StftConfig) -> SpectralTensor:
     """Transform multichannel audio to the per-bin spectral domain.
 
     Frame ``t`` covers samples ``[t*hop, t*hop + window_len)``; each frame is
-    tapered, zero-padded to ``fft_size`` and transformed with a real FFT.
-    The ``blocks`` walk is cut into one contiguous run per worker, and each
-    worker transforms its run block by block.
+    tapered, zero-padded to ``fft_size`` and transformed with a real FFT,
+    one of the ``blocks`` at a time on the worker pool.
     """
     x = _as_channel_matrix(audio)
     n_frames = cfg.frame_count(x.shape[1])
     w = window(cfg.window, cfg.window_len)
     frames = sliding_window_view(x, cfg.window_len, axis=1)[:, :: cfg.hop, :]
     data = np.empty((x.shape[0], n_frames, cfg.bin_count), dtype=complex)
-    walk = blocks(n_frames)
 
-    def transform(run):
-        for block in run:
-            np.fft.rfft(frames[:, block] * w, n=cfg.fft_size, axis=2, out=data[:, block])
+    def transform(block):
+        np.fft.rfft(frames[:, block] * w, n=cfg.fft_size, axis=2, out=data[:, block])
 
-    cuts = [len(walk) * i // _WORKERS for i in range(_WORKERS + 1)]
-    in_parallel(transform, [walk[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])])
+    in_parallel(transform, blocks(n_frames))
     return SpectralTensor(data, cfg)
 
 

@@ -21,7 +21,7 @@ from binaural_mwf.scene import (
     ArrayGeometry,
     SceneSpec,
     _filter_multichannel,
-    _parametric_response,
+    scene_response,
     synthesize_scene,
 )
 from binaural_mwf.spatial_stats import covariance_per_bin, estimate_coherence
@@ -70,14 +70,18 @@ def test_scene_holds_two_tensors(speech, geometry, cfg, scene30):
 def test_steering_forms_no_whole_response(speech):
     # relative to the (M, n_fft) real output: the output, the product
     # spectrum (1.0 each), the input spectrum, and per worker one chunk's
-    # response temporaries or one row of inverse-FFT scratch: 2.85 at two
-    # workers; a whole (M, bins) response costs 1.0 more (the whole-grid
-    # form read 4.96)
+    # response temporaries or one row of inverse-FFT scratch: 2.75-2.80 at
+    # two workers; a whole (M, bins) response costs 1.0 more (the
+    # whole-grid form read 4.96)
     geometry = ArrayGeometry()
-    response_fn = _parametric_response(geometry, 30.0, 3.0, SceneSpec(), 16000.0)
-    out_bytes = geometry.total_mics * (speech.size + 2 * _PARAMETRIC_PAD) * 8
+    n_fft = speech.size + 2 * _PARAMETRIC_PAD
+    freqs = np.fft.rfftfreq(n_fft, 1.0 / 16000.0)
+    out_bytes = geometry.total_mics * n_fft * 8
     with pool_of(2):
-        used = transient(_filter_multichannel, speech, response_fn, _PARAMETRIC_PAD)
+        used = transient(
+            _filter_multichannel, speech,
+            lambda chunk: scene_response(geometry, 30.0, 3.0, SceneSpec(), freqs[chunk]),
+            geometry.total_mics, _PARAMETRIC_PAD)
     assert used < 3.2 * out_bytes
 
 

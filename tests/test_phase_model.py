@@ -7,9 +7,7 @@ from scipy import integrate, stats
 from binaural_mwf import InvalidInputError
 from binaural_mwf.phase_model import (
     RatioPhaseParams,
-    circular_variance,
     phase_pdf,
-    phase_variance_curve,
     sample_ratio_pairs,
     sample_ratio_phase,
 )
@@ -27,6 +25,28 @@ def bin_averaged_pdf(params, edges):
         val, _ = integrate.quad(lambda t: phase_pdf(t, params), edges[i], edges[i + 1])
         out[i] = val / (edges[i + 1] - edges[i])
     return out
+
+
+def circular_variance(angles):
+    """1 - |mean resultant|; 0 for concentrated, ~1 for uniform phases."""
+    return float(1.0 - np.abs(np.mean(np.exp(1j * np.asarray(angles)))))
+
+
+def phase_variance_curve(magnitudes, n, seed):
+    """Monte-Carlo circular variance of the sampled ratio phase per |rho|.
+
+    The oracle of the dispersion law: variance grows as the coherence
+    magnitude shrinks.  The variance does not depend on the angle of rho,
+    which is fixed at pi/4.  Returns a list of (|rho|, circular variance).
+    """
+    rows = []
+    for i, mag in enumerate(magnitudes):
+        if not 0.0 <= mag < 1.0:
+            raise InvalidInputError("|rho| values must lie in [0, 1)")
+        params = RatioPhaseParams(rho=mag * np.exp(1j * np.pi / 4))
+        samples = sample_ratio_phase(params, n, seed + i)
+        rows.append((float(mag), circular_variance(samples)))
+    return rows
 
 
 class TestPdf:

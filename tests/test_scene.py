@@ -9,8 +9,6 @@ from binaural_mwf.scene import (
     _channel_energy,
     _filter_multichannel,
     _frame_energy,
-    _measured_response,
-    _parametric_response,
     ArrayGeometry,
     SceneSpec,
     ideal_vad,
@@ -194,8 +192,8 @@ def one_shot_filter(signal, response, pad):
 
 
 class TestSteeringOnThePool:
-    """The dense steering, a bin chunk and a microphone row per pool task,
-    equals the frozen whole-grid form bit for bit, sign bits included, on
+    """The dense steering, on the pool by bin chunks and then by microphone
+    rows, equals the frozen whole-grid form bit for bit, sign bits included, on
     the parametric and the measured-response paths, at 1, 2 and 3 workers
     and on dense grids of fewer bins than a chunk, whole chunks, a partial
     last chunk and a lone trailing bin."""
@@ -233,9 +231,11 @@ class TestSteeringOnThePool:
             freqs = np.fft.rfftfreq(n_fft, 1.0 / 16000.0)
             return scene_response(geometry, azimuth, 2.0, spec, freqs)
 
-        response_fn = _parametric_response(geometry, azimuth, 2.0, spec, 16000.0)
+        freqs = np.fft.rfftfreq(x.size + 2 * pad, 1.0 / 16000.0)
         with pool_of(workers):
-            got = _filter_multichannel(x, response_fn, pad)
+            got = _filter_multichannel(
+                x, lambda chunk: scene_response(geometry, azimuth, 2.0, spec, freqs[chunk]),
+                geometry.total_mics, pad)
         assert_bitwise(got, one_shot_filter(x, whole, pad))
 
     @settings(max_examples=40, deadline=None)
@@ -253,8 +253,9 @@ class TestSteeringOnThePool:
         ir = rng.standard_normal((mics, taps))
         ir[rng.uniform(size=ir.shape) < 0.2] = -0.0
 
+        dense = np.fft.rfft(ir, n=x.size + 2 * pad)
         with pool_of(workers):
-            got = _filter_multichannel(x, _measured_response(ir), pad)
+            got = _filter_multichannel(x, lambda chunk: dense[:, chunk], mics, pad)
         assert_bitwise(got, one_shot_filter(x, lambda n_fft: np.fft.rfft(ir, n=n_fft), pad))
 
 

@@ -1,16 +1,20 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from binaural_mwf import InvalidInputError
+from binaural_mwf import InvalidInputError, stft
 from binaural_mwf.stft import (
     _BLOCK_FRAMES,
     SpectralTensor,
     StftConfig,
     analyze,
     blocks,
+    in_parallel,
     synthesize,
     window,
 )
@@ -64,7 +68,7 @@ class TestAnalyze:
     def test_zero_signal_gives_zero_tensor(self, cfg):
         spec = analyze(np.zeros((3, 1000)), cfg)
         assert np.all(spec.data == 0)
-        assert spec.channel_count == 3
+        assert spec.data.shape[0] == 3
 
     def test_unit_impulse_rect_window_flat_spectrum(self):
         cfg = StftConfig(window="rect")
@@ -281,6 +285,59 @@ class TestAnalysisOnThePool:
             spec = analyze(x, cfg)
         assert spec.frame_count == frames
         assert_bitwise(spec.data, one_shot_analyze(x, cfg))
+
+
+class TestInParallel:
+    """The pool's one scheduling rule: every item runs once, in at most one
+    contiguous ascending run per worker, and the first failure in item order
+    is raised only once every run is done."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64])
+    def test_each_item_once_in_one_run_per_worker(self, workers, count):
+        current = threading.local()
+        runs = []
+
+        def record(item):
+            current.run.append(item)
+
+        with pool_of(workers), pytest.MonkeyPatch.context() as patch:
+            submit = stft._POOL.submit
+
+            def counted(call, *args):
+                run = []
+                runs.append(run)
+
+                def task():
+                    current.run = run
+                    return call(*args)
+
+                return submit(task)
+
+            patch.setattr(stft._POOL, "submit", counted)
+            in_parallel(record, list(range(count)))
+        assert len(runs) <= workers
+        assert [item for run in runs for item in run] == list(range(count))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("slow", [1, 6])
+    def test_first_failure_raised_after_every_run(self, workers, slow):
+        # items 1 and 6 fail, ``slow`` of them after a sleep; at two or more
+        # workers they lie in different runs
+        finished = []
+
+        def step(item):
+            if item == slow:
+                time.sleep(0.1)
+                finished.append(item)
+            if item in (1, 6):
+                raise ValueError(item)
+
+        with pool_of(workers):
+            with pytest.raises(ValueError, match="^1$"):
+                in_parallel(step, range(7))
+            at_raise = list(finished)
+        assert at_raise == ([slow] if workers > 1 or slow == 1 else [])
 
 
 class TestBlocks:
