@@ -4,10 +4,10 @@ All component-wise measures use shadow filtering: the filters computed on
 the mixture are applied separately to the clean speech and noise tensors,
 so the speech and noise portions of every output are known exactly.  No
 filtered output exists whole: :func:`active_power` filters only the
-speech-active frames, one ``stft.blocks`` slice at a time, and keeps their
-|z|^2, so an evaluation holds one block of output and one real array of
-the active frames' power on top of the scene.  The enhanced WAV is
-synthesized from a :class:`FilteredView` the same way.
+speech-active frames, one ``stft.blocks`` slice at a time per worker, and
+keeps their |z|^2, so an evaluation holds one block of output per worker
+and one real array of the active frames' power on top of the scene.  The
+enhanced WAV is synthesized from a :class:`FilteredView` the same way.
 
 Cue errors compare input cues (reference microphones) with output cues
 (filter pair) on the same directly-estimated coherence matrices:
@@ -47,7 +47,7 @@ from .spatial_stats import (
     output_cues,
     wrap_angle,
 )
-from .stft import SpectralTensor, blocks, squared_magnitude, summands
+from .stft import SpectralTensor, blocks, in_parallel, squared_magnitude, summands
 from .wavio import write_csv, write_json
 
 # One-third-octave band centers (Hz) and importance weights of the speech
@@ -62,6 +62,12 @@ SII_BAND_WEIGHTS = np.array([
 ])
 
 IC_REFERENCE_THRESHOLDS = (0.2, 0.8)
+
+# Speech-active frames per ``active_power`` task.  Each worker holds one
+# task's filtered block at a time, so this bounds the per-worker working set:
+# at four workers, 64-frame tasks took an evaluation's transient from 0.19
+# to 0.45 of the scene tensor it reads.
+_POWER_FRAMES = 16
 
 
 @dataclass
@@ -147,15 +153,21 @@ def active_power(data, active, ears=slice(None)) -> ActivePower:
     (channels, frames, bins) ``data``: an array or a :class:`FilteredView`.
 
     The active frames are read one ``stft.blocks`` slice of their indices
-    at a time, and each block's |z|^2 is written into one buffer laid out
+    at a time, ``_POWER_FRAMES`` of them, on the worker pool
+    (``stft.in_parallel``), so each worker holds one 16-frame block; each
+    block's |z|^2 is written into its own slice of one buffer laid out
     frames-outermost.  That is the layout numpy gives ``data[:, active, :]``,
-    and the sums add in memory order, so their bits are those of the
-    one-shot form; a channels-outermost buffer would change them.
+    and the sums, on the calling thread once every block is written, add in
+    memory order, so their bits are those of the one-shot form; a
+    channels-outermost buffer would change them.
     """
     frames = np.arange(data.shape[1])[np.asarray(active, dtype=bool)]
     power = np.empty((frames.size, 2, data.shape[2])).transpose(1, 0, 2)
-    for block in blocks(frames.size):
+
+    def square(block):
         squared_magnitude(data[:, frames[block]][ears], out=power[:, block])
+
+    in_parallel(square, blocks(frames.size, _POWER_FRAMES))
     return ActivePower(np.sum(power, axis=(1, 2)), np.sum(power, axis=1))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .scene import VadLabels
-from .stft import StftConfig, blocks, summands
+from .stft import StftConfig, blocks, in_parallel, summands
 from .wavio import write_csv
 
 CUE_CUTOFF_HZ = 1500.0
@@ -121,7 +121,10 @@ def covariance_per_bin(tensor, frame_masks):
     added once per group of adjacent bins (``stft.blocks``), over all frames;
     each mask's estimate of each bin is reduced from a contiguous (M, T)
     copy of that bin's selected frames, so no sum, masked or conjugated copy
-    of the whole data exists.
+    of the whole data exists.  The groups run on the worker pool
+    (``stft.in_parallel``), each writing only its own bins, so each worker
+    holds one group at a time; the division by the frame count and the
+    Hermitian average follow on the calling thread.
     """
     parts = [p.data for p in summands(tensor)]
     m, t, bins = parts[0].shape
@@ -132,7 +135,8 @@ def covariance_per_bin(tensor, frame_masks):
     if min(counts) < 2:
         raise InvalidInputError("need at least two frames for a covariance estimate")
     covs = [np.empty((bins, m, m), dtype=np.result_type(*parts)) for _ in selections]
-    for group in blocks(bins, _GROUP_BINS):
+
+    def reduce(group):
         block = parts[0][:, :, group]
         for part in parts[1:]:
             block = block + part[:, :, group]
@@ -140,6 +144,8 @@ def covariance_per_bin(tensor, frame_masks):
             for j in range(block.shape[2]):
                 a = np.ascontiguousarray(block[:, frames, j])
                 np.einsum("mt,nt->mn", a, a.conj(), out=cov[group.start + j])
+
+    in_parallel(reduce, blocks(bins, _GROUP_BINS))
     covs = [cov / count for cov, count in zip(covs, counts)]
     return tuple(0.5 * (cov + np.conj(np.transpose(cov, (0, 2, 1)))) for cov in covs)
 

@@ -15,16 +15,25 @@ A walk whose steps each write their own slice of an array the caller
 allocated, and sum nothing across a step, may run its steps on the module's
 worker pool through ``in_parallel``, which holds the one scheduling rule:
 each worker takes one contiguous run of the steps and walks it in order.
-``analyze`` passes its blocks, and the scene's dense steering its bin chunks
-and then its microphone rows.  No value depends on which thread computes it,
-so the bits are those of the serial walk whatever the worker count.  The
-pool has one thread per CPU the process may run on; a function the tracer
-wraps (``analyze`` itself, say) is never called from a worker.
+Its users:
+
+- ``analyze``: its blocks of frames;
+- the scene's dense steering: its bin chunks, then its microphone rows;
+- ``spatial_stats.covariance_per_bin``: its groups of bins;
+- ``metrics.active_power``: its blocks of speech-active frames.
+
+No value depends on which thread computes it, so the bits are those of the
+serial walk whatever the worker count; sums across steps run after the walk,
+on the calling thread.  Each worker holds one step's working set at a time.
+The pool has one thread per CPU the process may run on; a function the
+tracer wraps (``analyze`` itself, say) is never called from a worker, and a
+worker never calls ``in_parallel``.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -43,14 +52,20 @@ _BLOCK_FRAMES = 64
 # the threads start on first use, not on import.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="binaural-mwf")
+_THREAD_PREFIX = "binaural-mwf"
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix=_THREAD_PREFIX)
 
 
 def in_parallel(fn, items):
     """Call ``fn`` on each of ``items`` on the worker pool, each worker taking
     one contiguous run of ``items`` in order, and return once every run is
-    done, raising the first failure in ``items`` order.  ``fn`` must not call
-    ``in_parallel`` itself."""
+    done, raising the first failure in ``items`` order.
+
+    A call from a pool worker (``fn`` calling ``in_parallel``) raises
+    ``RuntimeError`` before submitting anything: its runs would queue behind
+    the caller's own, and once every worker waits so, none would start."""
+    if threading.current_thread().name.startswith(_THREAD_PREFIX):
+        raise RuntimeError("in_parallel called from a worker of its own pool")
 
     def run(part):
         for item in part:

@@ -99,8 +99,10 @@ def bins_innermost(mats):
 
 @contextmanager
 def pool_of(workers):
-    """``stft``'s worker pool swapped for one of ``workers`` threads."""
-    with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as patch:
+    """``stft``'s worker pool swapped for one of ``workers`` threads, named
+    as its own are."""
+    with (ThreadPoolExecutor(workers, thread_name_prefix=stft._THREAD_PREFIX) as pool,
+          pytest.MonkeyPatch.context() as patch):
         patch.setattr(stft, "_WORKERS", workers)
         patch.setattr(stft, "_POOL", pool)
         yield

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from binaural_mwf.metrics import FilteredView, apply_filters, evaluate_filters
+from binaural_mwf.metrics import FilteredView, active_power, apply_filters, evaluate_filters
 from binaural_mwf.scene import (
     _PARAMETRIC_PAD,
     ArrayGeometry,
@@ -49,14 +49,23 @@ def transient(fn, *args, **kwargs):
     return peak - start
 
 
+# Worker counts at which the bounds that depend on them are checked, whatever
+# the host's CPU count: each worker holds one task's working set at a time.
+WORKERS = (1, 2, 4)
+
+
 @pytest.mark.parametrize("masked", [False, True], ids=["all frames", "masked"])
 def test_covariance_holds_one_bin_at_a_time(masked):
+    # one bin's frames per busy worker: 0.008 of the data each
     rng = np.random.default_rng(0)
     shape = (6, 4000, 129)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     mask = rng.uniform(size=shape[1]) < 0.6 if masked else None
     tensor = SpectralTensor(data, StftConfig())
-    assert transient(covariance_per_bin, tensor, (mask,)) < 0.1 * data.nbytes
+    for workers in WORKERS:
+        with pool_of(workers):
+            used = transient(covariance_per_bin, tensor, (mask,))
+        assert used < 0.1 * data.nbytes, f"{workers} workers"
 
 
 def test_scene_holds_two_tensors(speech, geometry, cfg, scene30):
@@ -86,9 +95,13 @@ def test_steering_forms_no_whole_response(speech):
 
 
 def test_coherence_forms_the_mixture_a_group_of_bins_at_a_time(scene30):
-    # forming y = x + v whole first costs a tensor (1.05 in all)
-    used = transient(estimate_coherence, (scene30.x, scene30.v), scene30.vad)
-    assert used < 0.25 * scene30.x.data.nbytes
+    # one 4-bin group of x + v per busy worker: 0.075 of x at one worker,
+    # 0.12 at two and 0.20-0.21 at four; forming y = x + v whole first
+    # costs a tensor (1.05 in all)
+    for workers in WORKERS:
+        with pool_of(workers):
+            used = transient(estimate_coherence, (scene30.x, scene30.v), scene30.vad)
+        assert used < 0.25 * scene30.x.data.nbytes, f"{workers} workers"
 
 
 def test_synthesis_holds_one_block_of_frames(scene30, mwf30):
@@ -102,10 +115,38 @@ def test_synthesis_holds_one_block_of_frames(scene30, mwf30):
 
 def test_evaluation_holds_one_filtered_output(scene30, mwf30, selector):
     # a copy starts without the scene's cached terms, so the first call
-    # computes them too; 0.19 of x here, and one whole filtered output
-    # (0.33) breaks it
+    # computes them too; 0.13 of x at one worker, 0.19 at four (0.45 with
+    # 64-frame tasks), and one whole filtered output (0.33) breaks it
+    size = scene30.x.data.nbytes
+    for workers in WORKERS:
+        fresh = dataclasses.replace(scene30)
+        with pool_of(workers):
+            for call in ("first", "later"):
+                used = transient(evaluate_filters, mwf30.filters, fresh, selector)
+                assert used < 0.3 * size, \
+                    f"{workers} workers, {call} call: {used / size:.2f} of the tensor"
+
+
+def test_evaluation_adds_at_most_one_task_per_worker(scene30, mwf30, selector):
+    # a later call (the scene's terms cached) holds the active frames' power
+    # buffer (0.10 of x) and one 16-frame filtered block per busy worker.
+    # One task is measured as an active_power over 16 active frames (0.025
+    # of x, its own small buffer included).  Over the buffer, one worker
+    # held 1.03 tasks, and four workers held 0.065 of x more (2.6 tasks).
+    # Filtering each worker's whole run at once holds about 30 tasks at one
+    # worker, and 64-frame tasks about 4.
     fresh = dataclasses.replace(scene30)
-    size = fresh.x.data.nbytes
-    for call in ("first", "later"):
-        used = transient(evaluate_filters, mwf30.filters, fresh, selector)
-        assert used < 0.3 * size, f"{call} call: {used / size:.2f} of the tensor"
+    evaluate_filters(mwf30.filters, fresh, selector)
+    active = fresh.vad.active
+    sixteen = np.zeros_like(active)
+    sixteen[np.flatnonzero(active)[:16]] = True
+    with pool_of(1):
+        task = transient(active_power, FilteredView(mwf30.filters, fresh.x).data, sixteen)
+    buffer = np.count_nonzero(active) * 2 * fresh.x.bin_count * 8
+    used = {}
+    for workers in (1, 4):
+        with pool_of(workers):
+            used[workers] = transient(evaluate_filters, mwf30.filters, fresh, selector)
+    assert used[1] - buffer < 2 * task, f"{(used[1] - buffer) / task:.1f} tasks at one worker"
+    growth = used[4] - used[1]
+    assert growth <= 3 * task, f"{growth / task:.1f} tasks more at four workers"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -36,13 +37,14 @@ from binaural_mwf.spatial_stats import (
     input_cues,
     output_cues,
 )
-from binaural_mwf.stft import SpectralTensor, StftConfig, synthesize
+from binaural_mwf.stft import SpectralTensor, StftConfig, blocks, squared_magnitude, synthesize
 
 from conftest import (
     SUMMAND_CONFIGS,
     SUMMAND_SHAPES,
     assert_bitwise,
     identity_filters,
+    pool_of,
     random_psd,
     summand_pair,
 )
@@ -418,6 +420,77 @@ class TestActivePowerAcrossBlocks:
                 assert_bitwise([report.snr_l, report.snr_r], snr_want)
                 assert_bitwise([report.disnr_l, report.disnr_r],
                                isnr_gain(bands_want, ref_bands_want))
+
+
+def frozen_serial_active_power(data, active, ears=slice(None)):
+    """Frozen serial form of ``active_power`` before its blocks ran on the
+    worker pool: 64-frame blocks walked in order on the calling thread."""
+    frames = np.arange(data.shape[1])[np.asarray(active, dtype=bool)]
+    power = np.empty((frames.size, 2, data.shape[2])).transpose(1, 0, 2)
+    for block in blocks(frames.size, 64):
+        squared_magnitude(data[:, frames[block]][ears], out=power[:, block])
+    return np.sum(power, axis=(1, 2)), np.sum(power, axis=1)
+
+
+class TestPooledActivePowerMatchesSerialForm:
+    """The active-frame blocks run on the worker pool give the frozen serial
+    walk's bits at one, two and three workers, for a plain array read at two
+    of its channels and for a ``FilteredView`` of the summands (x, v), at
+    active frame counts around the 16-frame task and the 64-frame block."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), mics=st.integers(2, 6), bins=st.sampled_from([3, 129]),
+           active_count=st.sampled_from([0, 1, 15, 16, 17, 63, 64, 65, 129]),
+           silent_count=st.integers(1, 20), view=st.booleans())
+    def test_bitwise_equal(self, workers, seed, mics, bins, active_count, silent_count, view):
+        rng = np.random.default_rng(seed)
+        frames = active_count + silent_count
+        active = np.zeros(frames, dtype=bool)
+        active[rng.choice(frames, active_count, replace=False)] = True
+        x, v = summand_pair(rng, (mics, frames, bins))
+        if view:
+            cfg = SUMMAND_CONFIGS[bins]
+            filters = FilterPair(w_l=complex_white(rng, (bins, mics)),
+                                 w_r=complex_white(rng, (bins, mics)) * 10.0 ** rng.uniform(-3, 3))
+            data = FilteredView(filters, (SpectralTensor(x, cfg), SpectralTensor(v, cfg))).data
+            ears = slice(None)
+        else:
+            data, ears = x, list(rng.choice(mics, 2, replace=False))
+        want_total, want_per_bin = frozen_serial_active_power(data, active, ears)
+        with pool_of(workers):
+            got = active_power(data, active, ears)
+        assert_bitwise(got.total, want_total)
+        assert_bitwise(got.per_bin, want_per_bin)
+
+
+def test_pooled_walks_under_contention():
+    # eight workers on fewer cores, switching threads every microsecond: a
+    # step writing outside its own slice, or a sum read before every step
+    # has written, would move these bits
+    rng = np.random.default_rng(5)
+    cfg = StftConfig()
+    x, v = summand_pair(rng, (4, 200, cfg.bin_count))
+    summed = (SpectralTensor(x, cfg), SpectralTensor(v, cfg))
+    active = rng.uniform(size=200) < 0.7
+    filters = FilterPair(w_l=complex_white(rng, (cfg.bin_count, 4)),
+                         w_r=complex_white(rng, (cfg.bin_count, 4)))
+    view = FilteredView(filters, summed).data
+
+    def walks():
+        return covariance_per_bin(summed, (active, ~active)) + tuple(active_power(view, active))
+
+    with pool_of(1):
+        want = walks()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pool_of(8):
+            for _ in range(5):
+                for got, expected in zip(walks(), want):
+                    assert_bitwise(got, expected)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestBlockFedSynthesis:

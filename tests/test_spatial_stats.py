@@ -28,6 +28,7 @@ from conftest import (
     bins_innermost,
     identity_filters,
     low_rank_psd,
+    pool_of,
     random_psd,
     summand_pair,
 )
@@ -218,6 +219,42 @@ class TestLongCovarianceMatchesPerBinForm:
                              ((x, v), (SpectralTensor(x, cfg), SpectralTensor(v, cfg)))):
             for got, mask in zip(covariance_per_bin(tensor, masks), masks):
                 assert_bitwise(got, frozen_per_bin_covariance(data, mask))
+
+
+class TestPooledCovarianceMatchesSerialForm:
+    """The bin groups run on the worker pool give the frozen serial per-bin
+    form's bits at one, two and three workers: 129 bins (31 groups of 4 and
+    a last group of 5), one tensor or the summands (x, v), one or two masks,
+    masks of two frames among them."""
+
+    CFG = StftConfig()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), mics=st.integers(1, 6),
+           frames=st.sampled_from([2, 3, 64, 65, 200]), summed=st.booleans(),
+           kinds=st.lists(st.sampled_from(["all", "half", "two"]), min_size=1, max_size=2))
+    def test_bitwise_equal(self, workers, seed, mics, frames, summed, kinds):
+        rng = np.random.default_rng(seed)
+        x, v = summand_pair(rng, (mics, frames, self.CFG.bin_count))
+        data, tensor = x, SpectralTensor(x, self.CFG)
+        if summed:
+            data, tensor = (x, v), (tensor, SpectralTensor(v, self.CFG))
+
+        def mask(kind):
+            if kind == "all":
+                return None
+            chosen = (rng.uniform(size=frames) < 0.5 if kind == "half"
+                      else np.zeros(frames, dtype=bool))
+            chosen[rng.choice(frames, 2, replace=False)] = True
+            return chosen
+
+        masks = tuple(mask(kind) for kind in kinds)
+        with pool_of(workers):
+            got = covariance_per_bin(tensor, masks)
+        assert len(got) == len(masks)
+        for cov, frame_mask in zip(got, masks):
+            assert_bitwise(cov, frozen_per_bin_covariance(data, frame_mask))
 
 
 class TestLayoutReaders:

@@ -339,6 +339,17 @@ class TestInParallel:
             at_raise = list(finished)
         assert at_raise == ([slow] if workers > 1 or slow == 1 else [])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_call_from_a_worker_raises(self, workers):
+        # the inner call has no item to run, so only the guard can fail it;
+        # once every worker waits on an inner call, a real one never returns
+        def nested(item):
+            in_parallel(lambda inner: None, [])
+
+        with pool_of(workers):
+            with pytest.raises(RuntimeError, match="worker"):
+                in_parallel(nested, range(workers))
+
 
 class TestBlocks:
     """The one block walk: consecutive slices covering every index once, in

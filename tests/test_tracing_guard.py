@@ -6,15 +6,16 @@ later runs.  The module is loaded by path, without writing bytecode next to
 it.
 """
 
+import threading
 import types
 from pathlib import Path
 
 import numpy as np
 
-from binaural_mwf import costs, solver
+from binaural_mwf import cli, costs, scene, solver, wavio
 from binaural_mwf.spatial_stats import Selector
 
-from conftest import random_coherence_set
+from conftest import pool_of, random_coherence_set
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -60,3 +61,32 @@ def test_penalized_solve_reaches_the_optimizer_and_the_gated_cost():
         assert tracer.calls["costs.combined"] >= 1
     finally:
         tracer.restore()
+
+
+def test_every_span_of_a_process_run_opens_on_the_calling_thread(tmp_path):
+    # the span stack is not thread-safe, so the worker pool stays inside
+    # untraced callees (the covariance groups under the coherence estimate,
+    # the active-frame power under the evaluation)
+    speech = tmp_path / "speech.wav"
+    wavio.write_wav(speech, scene.synthetic_speech(1.0, 16000.0, seed=7), 16000.0)
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"scene.speech_wav = {speech}\nscene.noise_azimuth = 30\n"
+                    f"run.seed = 42\nrun.out_dir = {tmp_path / 'out'}\n")
+    tracer = load_tracing().Tracer()
+    threads = set()
+    call = tracer.call
+
+    def recording(name, fn, *args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return call(name, fn, *args, **kwargs)
+
+    tracer.call = recording
+    try:
+        tracer.install()
+        with pool_of(2):
+            assert cli.main(["process", "--config", str(conf)]) == cli.EXIT_OK
+    finally:
+        tracer.restore()
+    assert tracer.calls["spatial_stats.coherence"] == 1
+    assert tracer.calls["metrics.evaluate"] == 1
+    assert threads == {threading.current_thread().name}
