@@ -230,14 +230,14 @@ def _convergence_exit(fractions):
 
 def _prepare(cfg: RunConfig):
     """(scene, selector, coherence of the mixture) of the configured run."""
-    speech, _ = wavio.read_wav(cfg.speech_wav, expected_rate=cfg.stft.sample_rate)
+    speech = wavio.read_wav(cfg.speech_wav, expected_rate=cfg.stft.sample_rate)
     if speech.shape[0] != 1:
         raise InvalidInputError("scene.speech_wav must be mono")
 
     def load_ir(path):
         if path is None:
             return None
-        ir, rate = wavio.read_wav(path, expected_rate=cfg.stft.sample_rate)
+        ir = wavio.read_wav(path, expected_rate=cfg.stft.sample_rate)
         if ir.shape[0] != cfg.geometry.total_mics:
             raise InvalidInputError(
                 f"{path}: impulse response needs {cfg.geometry.total_mics} channels"

@@ -96,7 +96,6 @@ class CostEval:
 
     value: float
     gradient: np.ndarray
-    degenerate: bool = False
 
 
 def _realify(mat):
@@ -194,15 +193,15 @@ def _live_lanes(live, *arrays):
 
 
 def _guarded(live, values, grads):
-    """(values, gradients, degenerate) of all lanes from the live lanes'
-    results: past the guard, ``DEGENERATE_PENALTY`` with a zero gradient."""
+    """(values, gradients) of all lanes from the live lanes' results: past
+    the guard, ``DEGENERATE_PENALTY`` with a zero gradient."""
     if live.all():
-        return values, grads, ~live
+        return values, grads
     all_values = np.full(live.size, DEGENERATE_PENALTY)
     all_grads = np.zeros((live.size, grads.shape[1]))
     all_values[live] = values
     all_grads[live] = grads
-    return all_values, all_grads, ~live
+    return all_values, all_grads
 
 
 class _WienerTerm:
@@ -396,8 +395,8 @@ def _check_filter_sizes(w_l, w_r, m):
         raise InvalidInputError(f"filters must have {m} coefficients, one per microphone")
 
 
-def _first_lane(values, grads, degenerate=(False,)) -> CostEval:
-    return CostEval(value=float(values[0]), gradient=grads[0], degenerate=bool(degenerate[0]))
+def _first_lane(values, grads) -> CostEval:
+    return CostEval(value=float(values[0]), gradient=grads[0])
 
 
 def j_w(w_l, w_r, phi_xx, phi_yy, q_l, q_r) -> CostEval:
@@ -465,13 +464,13 @@ class BinObjective:
                    None if cue is None else [cue])
 
     def evaluate(self, w, lanes=slice(None)):
-        """(values, gradients, degenerate) of the ``lanes`` rows at their
-        filter pairs w, one (2, M) pair per lane."""
+        """(values, gradients) of the ``lanes`` rows at their filter pairs w,
+        one (2, M) pair per lane."""
         values, grads = self.wiener.value_and_gradient(w, lanes)
         if self.penalty is None:
-            return values, grads, np.zeros(values.shape, dtype=bool)
-        pen, pen_grads, degenerate = self.penalty.value_and_gradient(w, lanes)
-        return values + self.alpha * pen, grads + self.alpha * pen_grads, degenerate
+            return values, grads
+        pen, pen_grads = self.penalty.value_and_gradient(w, lanes)
+        return values + self.alpha * pen, grads + self.alpha * pen_grads
 
     def __call__(self, x, lanes=None):
         """(values, gradients) at the packed parameter rows ``x``, one per
@@ -480,8 +479,7 @@ class BinObjective:
             lanes = slice(None)
         else:
             lanes = np.asarray(lanes)
-        values, grads, _ = self.evaluate(_unpack_pairs(x), lanes)
-        return values, grads
+        return self.evaluate(_unpack_pairs(x), lanes)
 
     def hessian(self, x, lane=0):
         """Exact Hessian of one lane at its packed parameters ``x``; the

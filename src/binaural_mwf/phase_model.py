@@ -12,8 +12,9 @@ angle(rho), collapses to the uniform 1/(2 pi) at rho = 0, and concentrates
 as |rho| -> 1.  This is the dispersion law of per-frame interaural phase
 samples: the smaller the coherence magnitude, the wider the phase spread.
 
-A Monte-Carlo sampler with the same covariance structure serves as the
-independent oracle for the closed form.
+Neither the density nor the phase of x conj(y) depends on the scales
+sigma_x and sigma_y, so the Monte-Carlo sampler that serves as the
+independent oracle for the closed form draws x and y with unit variances.
 """
 
 from __future__ import annotations
@@ -31,18 +32,14 @@ _ETA_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class RatioPhaseParams:
-    """Correlation coefficient and scales of the numerator/denominator."""
+    """Correlation coefficient of the numerator and denominator."""
 
     rho: complex
-    sigma_x: float = 1.0
-    sigma_y: float = 1.0
 
     def __post_init__(self):
-        require_finite(self, "rho", "sigma_x", "sigma_y")
+        require_finite(self, "rho")
         if abs(self.rho) > 1.0 + 1e-12:
             raise InvalidInputError("|rho| must not exceed 1")
-        if self.sigma_x <= 0 or self.sigma_y <= 0:
-            raise InvalidInputError("scales must be positive")
 
 
 def _bracket(eta):
@@ -82,15 +79,11 @@ def phase_pdf(theta, params: RatioPhaseParams):
 def _real_coloring(params: RatioPhaseParams):
     """4x4 real coloring matrix for [Re x, Im x, Re y, Im y].
 
-    The complex covariance C = [[sx^2, rho sx sy], [conj(rho) sx sy, sy^2]]
-    maps to the real covariance 0.5 [[Re C, -Im C], [Im C, Re C]] of the
-    stacked parts (circular symmetry: zero pseudo-covariance).
+    The complex covariance C = [[1, rho], [conj(rho), 1]] of unit-variance
+    x and y maps to the real covariance 0.5 [[Re C, -Im C], [Im C, Re C]] of
+    the stacked parts (circular symmetry: zero pseudo-covariance).
     """
-    sx, sy = params.sigma_x, params.sigma_y
-    c = np.array([
-        [sx * sx, params.rho * sx * sy],
-        [np.conj(params.rho) * sx * sy, sy * sy],
-    ])
+    c = np.array([[1.0, params.rho], [np.conj(params.rho), 1.0]])
     sigma = 0.5 * np.block([[c.real, -c.imag], [c.imag, c.real]])
     try:
         return np.linalg.cholesky(sigma)

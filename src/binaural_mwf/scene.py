@@ -381,11 +381,11 @@ def _channel_energy(data, channel, frames=slice(None)):
     return np.sum(squared_magnitude(data[channel, frames]))
 
 
-def ideal_vad(clean_speech: SpectralTensor, threshold_db=40.0) -> VadLabels:
-    """Label frames whose energy is within ``threshold_db`` of the peak frame.
+def ideal_vad(clean_speech: SpectralTensor) -> VadLabels:
+    """Label frames whose energy is within 40 dB of the peak frame.
 
-    Energy is summed over channels and bins.  ``threshold_db`` is the depth
-    below the loudest frame still counted as active (0 keeps only the peak).
+    Energy is summed over channels and bins; 40 dB is the depth below the
+    loudest frame still counted as active.
     """
     energy = _frame_energy(clean_speech.data)
     peak = energy.max() if energy.size else 0.0
@@ -393,7 +393,7 @@ def ideal_vad(clean_speech: SpectralTensor, threshold_db=40.0) -> VadLabels:
         raise InvalidInputError("all-zero tensor has no speech activity")
     with np.errstate(divide="ignore"):
         rel_db = 10.0 * np.log10(energy / peak)
-    return VadLabels(active=rel_db >= -threshold_db)
+    return VadLabels(active=rel_db >= -40.0)
 
 
 def synthesize_scene(
@@ -413,7 +413,8 @@ def synthesize_scene(
     (M, taps) arrays at the configured rate).  The noise component is scaled
     so the SNR at the reference microphone of the worst ear meets
     ``target_snr_worst_ear``; pass ``numpy.inf`` to disable the noise
-    entirely.  The worst ear is the one nearest a modelled noise source; for
+    entirely.  A noise silent at the worst ear, or a gain past the float
+    range, is an ``InvalidInputError``.  The worst ear is the one nearest a modelled noise source; for
     frontal noise or a measured ``noise_ir`` it is the ear whose reference
     microphone receives more noise power.
     """
@@ -481,9 +482,17 @@ def synthesize_scene(
     p_noise = _channel_energy(v.data, ref, vad.active)
     if np.isinf(spec.target_snr_worst_ear):
         gain = 0.0
+    elif p_noise == 0.0:
+        raise InvalidInputError(f"noise is silent at the worst ear ({worst_ear}); "
+                                "it cannot be scaled to target_snr_worst_ear")
     else:
         snr0 = 10.0 * np.log10(p_speech / p_noise)
-        gain = 10.0 ** ((snr0 - spec.target_snr_worst_ear) / 20.0)
+        exponent = (snr0 - spec.target_snr_worst_ear) / 20.0
+        # checked before the power, which would overflow to an infinite gain
+        if not exponent < np.log10(np.finfo(float).max):
+            raise InvalidInputError("target_snr_worst_ear is so low that the noise "
+                                    "gain overflows")
+        gain = 10.0 ** exponent
     v.data *= gain
 
     return SceneData(x=x, v=v, vad=vad, worst_ear=worst_ear)

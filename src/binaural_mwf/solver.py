@@ -55,6 +55,8 @@ _WOLFE_C2 = 0.9
 
 # the paper's operating point: at most 15% worst-ear SNR loss against mwf
 DEFAULT_LOSS_FRACTION = 0.15
+# the log grid of alpha that calibration searches
+_ALPHA_GRID = np.geomspace(1e-3, 1e5, 33)
 
 
 @dataclass(frozen=True)
@@ -523,16 +525,16 @@ def check_loss_fraction(loss_fraction):
 
 def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene,
                     solver_cfg: SolverConfig = SolverConfig(),
-                    loss_fraction=DEFAULT_LOSS_FRACTION,
-                    grid_lo=1e-3, grid_hi=1e5, grid_points=33, refinements=3):
+                    loss_fraction=DEFAULT_LOSS_FRACTION):
     """Largest alpha keeping the worst-ear SNR within the allowed dB loss.
 
     Feasibility means snr(alpha) >= (1 - loss_fraction) * snr(mwf), both in
-    dB at the ear nearest the noise.  The log grid is searched by bisection
-    (the SNR is monotone in alpha up to solver jitter), then the bracket is
-    refined with ``refinements`` log-space bisections.  If the lowest grid
-    point is infeasible, arithmetic bisections refine [0, grid_lo] instead:
-    alpha = 0 is the reference solve, which loses nothing, so it is feasible.
+    dB at the ear nearest the noise.  The grid is 33 log-spaced alphas from
+    1e-3 to 1e5, searched by bisection (the SNR is monotone in alpha up to
+    solver jitter), then the bracket is refined with 3 log-space
+    bisections.  If the lowest grid point is infeasible, 3 arithmetic
+    bisections refine [0, 1e-3] instead: alpha = 0 is the reference solve,
+    which loses nothing, so it is feasible.
 
     Every probe lies above the largest feasible alpha so far, so one record,
     the alpha = 0 reference at first, keeps the latest feasible probe; its
@@ -559,7 +561,7 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
         return snr >= floor
 
     def refine(lo, hi, midpoint):
-        for _ in range(refinements):
+        for _ in range(3):
             mid = midpoint(lo, hi)
             if feasible(mid):
                 lo = mid
@@ -572,7 +574,7 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
                                  snr_mwf_db=snr_mwf, snr_db=snr, solve=solve,
                                  report=report, warning=warning)
 
-    grid = np.geomspace(grid_lo, grid_hi, grid_points)
+    grid = _ALPHA_GRID
     if feasible(grid[-1]):
         return result("grid exhausted: constraint satisfied at the upper bound")
     if not feasible(grid[0]):
@@ -580,7 +582,7 @@ def calibrate_alpha(spec: CostSpec, phi: CoherenceSet, selector: Selector, scene
         return result("penalty infeasible at the lowest grid point")
 
     # Binary search for the feasibility boundary on the grid.
-    lo_i, hi_i = 0, grid_points - 1
+    lo_i, hi_i = 0, grid.size - 1
     while hi_i - lo_i > 1:
         mid = (lo_i + hi_i) // 2
         if feasible(grid[mid]):

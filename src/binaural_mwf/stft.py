@@ -176,14 +176,6 @@ class SpectralTensor:
     def frame_count(self):
         return self.data.shape[1]
 
-    @property
-    def bin_count(self):
-        return self.data.shape[2]
-
-    @property
-    def freqs(self):
-        return self.config.freqs
-
 
 def summands(tensor):
     """The tensors whose element-wise sum ``tensor`` stands for.

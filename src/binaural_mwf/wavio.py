@@ -17,8 +17,9 @@ from scipy.io import wavfile
 from .errors import InvalidInputError
 
 
-def read_wav(path, expected_rate=None):
-    """Load a WAV file as ((channels, samples) float64, rate).
+def read_wav(path, expected_rate):
+    """Return the samples of a WAV file as (channels, samples) float64; a
+    file at a rate other than ``expected_rate`` is an error.
 
     Integer PCM is scaled to [-1, 1); float PCM is passed through and must
     be finite.
@@ -27,7 +28,7 @@ def read_wav(path, expected_rate=None):
         rate, data = wavfile.read(path)
     except ValueError as exc:
         raise InvalidInputError(f"cannot read WAV {path}: {exc}") from exc
-    if expected_rate is not None and rate != expected_rate:
+    if rate != expected_rate:
         raise InvalidInputError(
             f"{path}: sample rate {rate} Hz does not match configured "
             f"{expected_rate} Hz (no resampling)"
@@ -47,7 +48,7 @@ def read_wav(path, expected_rate=None):
         x = x[np.newaxis, :]
     else:
         x = x.T  # scipy gives (samples, channels)
-    return x, rate
+    return x
 
 
 def write_wav(path, data, rate, encoding="float32"):

@@ -192,6 +192,21 @@ class TestConfigParsing:
         assert str(ir_wav) in capsys.readouterr().err
         assert not (out / "metrics.json").exists()
 
+    # an all-zero noise response, or a level the noise gain cannot reach
+    @pytest.mark.parametrize("setting", ["noise_ir_wav", "target_snr_worst_ear"])
+    def test_unscalable_noise_rejected(self, tmp_path, speech_wav, capsys, setting):
+        ir_wav = tmp_path / "noise_ir.wav"
+        wavio.write_wav(ir_wav, np.zeros((6, 16)), StftConfig().sample_rate)
+        value, cause = {"noise_ir_wav": (ir_wav, "noise is silent"),
+                        "target_snr_worst_ear": (-10000, "gain overflows")}[setting]
+        out = tmp_path / "out"
+        conf = write_config(tmp_path / "c.conf", speech_wav, out,
+                            extra=f"scene.{setting} = {value}")
+        assert cli.main(["process", "--config", str(conf)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and cause in err
+        assert not (out / "metrics.json").exists()
+
     def test_noise_ir_sample_rate_checked(self, tmp_path, speech_wav, capsys,
                                           no_scene):
         # a 6-channel pure delay at 48 kHz; nothing is resampled
@@ -214,7 +229,7 @@ class TestConfigParsing:
             audio, speech, extra = np.eye(6, 16, k=1), speech_wav, f"scene.noise_ir_wav = {bad_wav}"
             audio[3, 5] = np.nan
         else:
-            audio, speech, extra = wavio.read_wav(speech_wav)[0][0], bad_wav, ""
+            audio, speech, extra = wavio.read_wav(speech_wav, 16000)[0], bad_wav, ""
             audio[1000] = np.inf
         wavio.write_wav(bad_wav, audio, StftConfig().sample_rate)
         out = tmp_path / "out"
@@ -279,8 +294,8 @@ class TestProcess:
         out = tmp_path / "out"
         conf = write_config(tmp_path / "c.conf", speech_wav, out)
         assert cli.main(["process", "--config", str(conf)]) == cli.EXIT_OK
-        audio, rate = wavio.read_wav(out / "enhanced_mwf.wav")
-        assert rate == 16000
+        # a rate other than 16 kHz fails the read
+        audio = wavio.read_wav(out / "enhanced_mwf.wav", 16000)
         assert audio.shape[0] == 2
 
     def test_seed_flag_overrides_config(self, tmp_path, speech_wav):

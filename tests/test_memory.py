@@ -142,7 +142,7 @@ def test_evaluation_adds_at_most_one_task_per_worker(scene30, mwf30, selector):
     sixteen[np.flatnonzero(active)[:16]] = True
     with pool_of(1):
         task = transient(active_power, FilteredView(mwf30.filters, fresh.x).data, sixteen)
-    buffer = np.count_nonzero(active) * 2 * fresh.x.bin_count * 8
+    buffer = np.count_nonzero(active) * 2 * fresh.x.config.bin_count * 8
     used = {}
     for workers in (1, 4):
         with pool_of(workers):

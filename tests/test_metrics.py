@@ -75,7 +75,7 @@ def make_cues(cfg, ipd, ic_abs):
 
 class TestShadowFilter:
     def test_identity_preserves_reference_channels(self, scene30, selector):
-        identity = identity_filters(selector, scene30.x.bin_count)
+        identity = identity_filters(selector, scene30.x.config.bin_count)
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
         np.testing.assert_allclose(
             z_x.data[0], scene30.x.data[selector.index_left], atol=1e-14
@@ -142,14 +142,14 @@ class TestDeltaIsnr:
         assert SII_BAND_CENTERS.size == SII_BAND_WEIGHTS.size
 
     def test_no_processing_gives_zero(self, scene30, selector):
-        identity = identity_filters(selector, scene30.x.bin_count)
+        identity = identity_filters(selector, scene30.x.config.bin_count)
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
-        bands = band_snrs_db(*powers(z_x, z_v, scene30.vad.active), scene30.x.freqs)
+        bands = band_snrs_db(*powers(z_x, z_v, scene30.vad.active), scene30.x.config.freqs)
         l, r = isnr_gain(bands, bands)
         assert l == 0.0 and r == 0.0
 
     def test_uniform_gain_passes_through(self, scene30, selector, cfg):
-        identity = identity_filters(selector, scene30.x.bin_count)
+        identity = identity_filters(selector, scene30.x.config.bin_count)
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
         boosted = SpectralTensor(z_v.data * 10 ** (-6.0 / 20.0), cfg)
         active = scene30.vad.active
@@ -160,7 +160,7 @@ class TestDeltaIsnr:
 
     def test_gain_outside_importance_bands_ignored(self, scene30, selector, cfg):
         # boost only below the lowest one-third-octave band edge (~141 Hz)
-        identity = identity_filters(selector, scene30.x.bin_count)
+        identity = identity_filters(selector, scene30.x.config.bin_count)
         z_x, z_v = shadow_filter(identity, scene30.x, scene30.v)
         modified = z_v.data.copy()
         low = cfg.freqs < 140.0
@@ -206,7 +206,7 @@ class TestCueErrors:
         assert rep.dmsc_n == pytest.approx(base.dmsc_n, abs=1e-12)
 
     def test_identity_processing_all_deltas_zero(self, scene30, selector):
-        identity = identity_filters(selector, scene30.x.bin_count)
+        identity = identity_filters(selector, scene30.x.config.bin_count)
         rep = evaluate_filters(identity, scene30, selector)
         assert rep.ditd_n == 0.0
         assert rep.ditd_s == 0.0
@@ -287,7 +287,7 @@ def one_shot_band_snrs_db(z_x, z_v, active, freqs):
 def frozen_reference_terms(scene, selector):
     """The unprocessed terms as computed before they read the reference
     channels directly: the pass-through filter pair, shadow-filtered."""
-    identity = identity_filters(selector, scene.x.bin_count)
+    identity = identity_filters(selector, scene.x.config.bin_count)
     zx = one_shot_apply_filters(identity, scene.x)
     zv = one_shot_apply_filters(identity, scene.v)
     active = scene.vad.active
@@ -514,7 +514,7 @@ class TestBlockFedSynthesis:
 def frozen_input_noise_cues(scene, selector, cue_cutoff):
     """The former "unprocessed" column of ic_spectrum.csv: output cues of the
     pass-through filter pair."""
-    identity = identity_filters(selector, scene.x.bin_count)
+    identity = identity_filters(selector, scene.x.config.bin_count)
     return output_cues(covariance_per_bin(scene.v, (None,))[0], identity, scene.v.config,
                        cue_cutoff)
 

@@ -98,13 +98,8 @@ class TestPdf:
         with pytest.raises(InvalidInputError):
             RatioPhaseParams(rho=1.5)
 
-    def test_bad_scales_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RatioPhaseParams(rho=0.1, sigma_x=0.0)
-
     @pytest.mark.parametrize("field, value", [
         ("rho", np.nan), ("rho", complex(0.5, np.nan)), ("rho", complex(np.inf, 0.0)),
-        ("sigma_x", np.inf), ("sigma_x", np.nan), ("sigma_y", np.nan), ("sigma_y", -np.inf),
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
@@ -113,15 +108,13 @@ class TestPdf:
 
 class TestSampler:
     def test_sample_covariance_matches_spec(self):
-        params = RatioPhaseParams(rho=0.6 * np.exp(1j * 0.9), sigma_x=1.4, sigma_y=0.8)
+        # unit variances: the cross moment is rho itself
+        params = RatioPhaseParams(rho=0.6 * np.exp(1j * 0.9))
         x, y = sample_ratio_pairs(params, 10**6, seed=20)
-        sx2 = np.mean(np.abs(x) ** 2)
-        sy2 = np.mean(np.abs(y) ** 2)
+        assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.01)
+        assert np.mean(np.abs(y) ** 2) == pytest.approx(1.0, rel=0.01)
         cross = np.mean(x * np.conj(y))
-        assert sx2 == pytest.approx(params.sigma_x**2, rel=0.01)
-        assert sy2 == pytest.approx(params.sigma_y**2, rel=0.01)
-        target = params.rho * params.sigma_x * params.sigma_y
-        assert abs(cross - target) < 0.01 * abs(target)
+        assert abs(cross - params.rho) < 0.01 * abs(params.rho)
         # circular symmetry: pseudo-covariance vanishes
         assert abs(np.mean(x * y)) < 5e-3
         assert abs(np.mean(x * x)) < 5e-3

@@ -19,7 +19,7 @@ from binaural_mwf.scene import (
     synthetic_speech,
 )
 from binaural_mwf.spatial_stats import Selector, wrap_angle
-from binaural_mwf.stft import analyze
+from binaural_mwf.stft import SpectralTensor, analyze
 
 from conftest import (
     SUMMAND_SHAPES,
@@ -127,14 +127,13 @@ class TestIdealVad:
         with pytest.raises(InvalidInputError):
             ideal_vad(spec)
 
-    def test_zero_threshold_keeps_only_peak(self, cfg):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(4000) * np.linspace(0.1, 1.0, 4000)
-        spec = analyze(x, cfg)
-        vad = ideal_vad(spec, threshold_db=0.0)
-        energy = np.sum(np.abs(spec.data) ** 2, axis=(0, 2))
-        assert vad.active_count == 1
-        assert vad.active[np.argmax(energy)]
+    def test_depth_is_40_db(self, cfg):
+        # frames 39 and 41 dB below the peak, then the peak itself
+        levels = 10.0 ** (-np.array([39.0, 41.0, 0.0]) / 20.0)
+        data = np.zeros((1, 3, cfg.bin_count), dtype=complex)
+        data[0, :, 5] = levels
+        vad = ideal_vad(SpectralTensor(data, cfg))
+        assert vad.active.tolist() == [True, False, True]
 
     def test_block_structure_recovered(self, cfg):
         # 100 ms tone blocks separated by 100 ms silence.
@@ -142,7 +141,7 @@ class TestIdealVad:
         block = np.sin(2 * np.pi * 500 * np.arange(fs // 10) / fs)
         x = np.concatenate([block, np.zeros(fs // 10)] * 4)
         spec = analyze(x, cfg)
-        vad = ideal_vad(spec, threshold_db=40.0)
+        vad = ideal_vad(spec)
         # frames fully inside silence are inactive, fully inside tone active
         frame_starts = np.arange(vad.frame_count) * cfg.hop
         centers = frame_starts + cfg.window_len // 2
@@ -272,6 +271,18 @@ class TestSceneSynthesis:
         sc = synthesize_scene(speech, spec, geometry, cfg)
         np.testing.assert_array_equal(sc.y.data, sc.x.data)
         assert np.all(sc.v.data == 0)
+
+    # unchecked, either gain leaves the noise NaN or infinite, and the run
+    # dies in an eigendecomposition
+    def test_silent_noise_rejected(self, speech, geometry, cfg):
+        noise_ir = np.zeros((geometry.total_mics, 16))
+        with pytest.raises(InvalidInputError, match="noise is silent"):
+            synthesize_scene(speech, SceneSpec(seed=2), geometry, cfg, noise_ir=noise_ir)
+
+    def test_overflowing_noise_gain_rejected(self, speech, geometry, cfg):
+        spec = SceneSpec(noise_azimuth=30.0, seed=2, target_snr_worst_ear=-10000.0)
+        with pytest.raises(InvalidInputError, match="gain overflows"):
+            synthesize_scene(speech, spec, geometry, cfg)
 
     def test_noise_band_limited(self, scene30, cfg):
         # designed response is an ideal low-pass; measured leakage stays small

@@ -497,27 +497,24 @@ class TestCalibration:
         assert_calibration_solve(cal, CostSpec("mwf-ic"), phi30, selector, scene30)
 
     def test_grid_top_returns_its_solve(self, phi30, selector, scene30, probed_alphas):
-        spec = CostSpec("mwf-ic")
-        cal = calibrate_alpha(spec, phi30, selector, scene30, grid_lo=0.1,
-                              grid_hi=1.0, grid_points=2)
-        assert probed_alphas == [0.0, 1.0]
+        spec = CostSpec("mwf-itd")
+        cal = calibrate_alpha(spec, phi30, selector, scene30)
+        assert probed_alphas == [0.0, 1e5]
         assert cal.warning.startswith("grid exhausted")
-        assert cal.alpha == 1.0
+        assert cal.alpha == 1e5
         assert_calibration_solve(cal, spec, phi30, selector, scene30)
 
-    @pytest.mark.parametrize("loss", [1e-9, 0.015])
+    @pytest.mark.parametrize("loss", [1e-9, 1e-5])
     def test_infeasible_lowest_grid_point_returns_its_solve(
         self, phi30, selector, scene30, loss, probed_alphas
     ):
-        # 1e-9 refines down to alpha = 0; 0.015 keeps a positive refinement
+        # 1e-9 refines [0, 1e-3] down to alpha = 0; 1e-5 keeps alpha = 5e-4
         spec = CostSpec("mwf-ic")
-        cal = calibrate_alpha(spec, phi30, selector, scene30, loss_fraction=loss,
-                              grid_lo=1.0, grid_hi=10.0, grid_points=2,
-                              refinements=3)
-        refined = {1e-9: [0.5, 0.25, 0.125], 0.015: [0.5, 0.75, 0.625]}[loss]
-        assert probed_alphas == [0.0, 10.0, 1.0, *refined]
+        cal = calibrate_alpha(spec, phi30, selector, scene30, loss_fraction=loss)
+        refined = {1e-9: [5e-4, 2.5e-4, 1.25e-4], 1e-5: [5e-4, 7.5e-4, 6.25e-4]}[loss]
+        assert probed_alphas == [0.0, 1e5, 1e-3, *refined]
         assert cal.warning == "penalty infeasible at the lowest grid point"
-        assert (cal.alpha > 0) == (loss > 1e-9)
+        assert cal.alpha == {1e-9: 0.0, 1e-5: 5e-4}[loss]
         assert_calibration_solve(cal, spec, phi30, selector, scene30)
 
     def test_mwf_variant_rejected(self, phi30, selector, scene30):

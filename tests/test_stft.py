@@ -375,8 +375,7 @@ class TestWav:
         x = rng.uniform(-0.9, 0.9, size=(2, 1600))
         path = tmp_path / f"x_{encoding}.wav"
         write_wav(path, x, 16000, encoding=encoding)
-        y, rate = read_wav(path)
-        assert rate == 16000
+        y = read_wav(path, 16000)
         tol = 1e-4 if encoding == "pcm16" else 1e-7
         np.testing.assert_allclose(y, x, atol=tol)
 
@@ -393,10 +392,10 @@ class TestWav:
         path = tmp_path / "bad.wav"
         write_wav(path, x, 16000)
         with pytest.raises(InvalidInputError, match="bad.wav"):
-            read_wav(path)
+            read_wav(path, 16000)
 
     def test_mono_shape(self, tmp_path):
         path = tmp_path / "m.wav"
         write_wav(path, np.zeros(100), 16000)
-        y, _ = read_wav(path)
+        y = read_wav(path, 16000)
         assert y.shape == (1, 100)
